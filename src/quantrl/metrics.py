@@ -146,7 +146,7 @@ def decode_metric(raw: float | str) -> float | None:
 def cumulative_return(period_returns: Sequence[float] | np.ndarray) -> float:
     """Compounded return: product of (1 + R_i), minus one. Empty input -> 0."""
     total = 1.0
-    for r in np.asarray(period_returns, dtype=float).ravel():
+    for r in np.asarray(period_returns, dtype=float).ravel().tolist():
         if r <= -1.0:
             raise ValueError(f"return {r} is <= -1")
         total *= 1.0 + r

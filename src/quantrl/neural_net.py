@@ -7,6 +7,7 @@ selected output elements (in DQN training, the taken action's Q-value).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,8 +125,33 @@ def backward(
 
     zs, activations = _forward_full(net, x)
     residual = np.where(selected, activations[-1] - tgt, 0.0)
-    loss = float((residual * residual).sum() / count)
+    return _backprop(net, zs, activations, residual, count)
 
+
+def _column_backward(
+    net: Mlp, inputs: np.ndarray, columns: np.ndarray, targets: np.ndarray
+) -> tuple[float, GradientSet]:
+    """`backward` with a mask that selects output column columns[i] of row i.
+
+    The residual is scattered straight into zeros, so loss and gradients are
+    bit-identical to the masked call without building a target matrix or mask.
+    """
+    zs, activations = _forward_full(net, inputs)
+    rows = np.arange(len(columns))
+    residual = np.zeros_like(activations[-1])
+    residual[rows, columns] = activations[-1][rows, columns] - targets
+    return _backprop(net, zs, activations, residual, len(columns))
+
+
+def _backprop(
+    net: Mlp,
+    zs: list[np.ndarray],
+    activations: list[np.ndarray],
+    residual: np.ndarray,
+    count: int,
+) -> tuple[float, GradientSet]:
+    """Loss and gradients of sum(residual**2) / count, given a forward pass."""
+    loss = float((residual * residual).sum() / count)
     d_weights = [np.empty(0)] * len(net.weights)
     d_biases = [np.empty(0)] * len(net.biases)
     delta = 2.0 * residual / count
@@ -196,6 +222,8 @@ def load_checkpoint(path: str | Path) -> Mlp:
     expected = sum(i * o + o for i, o in zip(sizes, sizes[1:]))
     if len(values) != expected:
         raise ValueError(f"{path}: expected {expected} parameters, found {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}: checkpoint holds non-finite parameters")
     weights, biases = [], []
     cursor = 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):

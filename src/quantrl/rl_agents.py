@@ -9,6 +9,7 @@ training runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .market_data import BarSeries, sma
 from .metrics import EquityCurve, Fill
-from .neural_net import Mlp, backward, clone_parameters, forward, sgd_step
+from .neural_net import Mlp, _column_backward, clone_parameters, forward, sgd_step
 from .trading_env import Action, CostModel, Portfolio, ZERO_COST, execute_buy, execute_sell
 
 StateKey = tuple[int, ...]
@@ -83,6 +84,51 @@ class ReplayBuffer:
             raise ValueError(f"cannot sample {k} from buffer of size {len(self._ring)}")
         indices = rng.integers(0, len(self._ring), size=k)
         return [self._ring[i] for i in indices]
+
+
+class _ReplayArrays:
+    """Array-backed replay for the training loop.
+
+    Fills and evicts slots in ReplayBuffer's order and samples with the same
+    single `rng.integers` draw, so a batch holds the same values a
+    ReplayBuffer of Transitions would return, without per-step objects.
+    """
+
+    def __init__(self, capacity: int, obs_dim: int) -> None:
+        self.capacity = capacity
+        self.size = 0
+        self._pushes = 0
+        self.states = np.empty((capacity, obs_dim))
+        self.next_states = np.empty((capacity, obs_dim))
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.rewards = np.empty(capacity)
+        self.terminal = np.empty(capacity, dtype=bool)
+
+    def push(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
+        slot = self._pushes % self.capacity
+        self.states[slot] = state
+        self.actions[slot] = action
+        self.rewards[slot] = reward
+        self.next_states[slot] = next_state
+        self.terminal[slot] = terminal
+        self._pushes += 1
+        self.size = min(self._pushes, self.capacity)
+
+    def sample(self, k: int, rng: np.random.Generator):
+        """(states, actions, rewards, next_states, terminal) of k uniform draws."""
+        i = rng.integers(0, self.size, size=k)
+        return self.states[i], self.actions[i], self.rewards[i], self.next_states[i], self.terminal[i]
+
+
+def _stack(batch: Sequence[Transition]):
+    """A Transition list as the arrays _ReplayArrays.sample returns."""
+    return (
+        np.stack([t.state for t in batch]),
+        np.array([int(t.action) for t in batch]),
+        np.array([t.reward for t in batch], dtype=float),
+        np.stack([t.next_state for t in batch]),
+        np.array([t.terminal for t in batch], dtype=bool),
+    )
 
 
 def buffer_push(buf: ReplayBuffer, transition: Transition) -> ReplayBuffer:
@@ -245,7 +291,10 @@ class QTable:
             if len(values) != 3:
                 raise ValueError(f"{path}: malformed row {line!r}")
             key = tuple(int(tok) for tok in key_text.split("-"))
-            table._q[key] = np.array([float(v) for v in values])
+            q = np.array([float(v) for v in values])
+            if not np.isfinite(q).all():
+                raise ValueError(f"{path}: non-finite value in row {line!r}")
+            table._q[key] = q
         return table
 
 
@@ -294,10 +343,12 @@ def bellman_targets(
     batch: Sequence[Transition], target_net: Mlp, gamma: float
 ) -> np.ndarray:
     """r_i, plus gamma * max of the target network at next_state_i unless terminal."""
-    next_states = np.stack([t.next_state for t in batch])
+    _, _, rewards, next_states, terminal = _stack(batch)
+    return _targets(rewards, next_states, terminal, target_net, gamma)
+
+
+def _targets(rewards, next_states, terminal, target_net: Mlp, gamma: float) -> np.ndarray:
     q_next = forward(target_net, next_states)
-    rewards = np.array([t.reward for t in batch], dtype=float)
-    terminal = np.array([t.terminal for t in batch], dtype=bool)
     return rewards + gamma * np.where(terminal, 0.0, q_next.max(axis=1))
 
 
@@ -342,15 +393,23 @@ def dqn_update(
     lr: float,
 ) -> float:
     """One masked-MSE SGD step toward the Bellman targets; returns the loss."""
-    targets = bellman_targets(batch, target_net, gamma)
-    states = np.stack([t.state for t in batch])
-    rows = np.arange(len(batch))
-    actions = np.array([int(t.action) for t in batch])
-    target_matrix = np.zeros((len(batch), 3))
-    mask = np.zeros((len(batch), 3), dtype=bool)
-    target_matrix[rows, actions] = targets
-    mask[rows, actions] = True
-    loss, grads = backward(net, states, target_matrix, mask)
+    return _dqn_step(net, target_net, *_stack(batch), gamma, lr)
+
+
+def _dqn_step(
+    net: Mlp,
+    target_net: Mlp,
+    states: np.ndarray,
+    actions: np.ndarray,
+    rewards: np.ndarray,
+    next_states: np.ndarray,
+    terminal: np.ndarray,
+    gamma: float,
+    lr: float,
+) -> float:
+    """dqn_update on a batch already in array form: only Q(s_i, a_i) regresses."""
+    targets = _targets(rewards, next_states, terminal, target_net, gamma)
+    loss, grads = _column_backward(net, states, actions, targets)
     sgd_step(net, grads, lr)
     return loss
 
@@ -365,6 +424,8 @@ def train_dqn(
 
     Gradient steps start once the buffer holds batch_size transitions; the
     target network is re-cloned every target_sync_period environment steps.
+    Replay lives in arrays that match a ReplayBuffer of Transitions slot for
+    slot and draw for draw. A non-finite loss or parameter raises ValueError.
     """
     if cfg.batch_size > cfg.buffer_capacity:
         raise ValueError("batch_size cannot exceed buffer_capacity")
@@ -373,7 +434,7 @@ def train_dqn(
     rng = np.random.default_rng(cfg.seed)
     schedule = schedule or _schedule_for(env, cfg)
     target_net = clone_parameters(net)
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    replay = _ReplayArrays(cfg.buffer_capacity, net.layer_sizes[0])
     history: list[HistoryRow] = []
     step = 0
     for episode in range(cfg.episodes):
@@ -384,14 +445,23 @@ def train_dqn(
         while not done:
             action = select_action(forward(net, obs), schedule.value(step), rng)
             state, next_obs, reward, done = env.step(state, action)
-            buffer.push(Transition(obs, int(action), reward, next_obs, done))
-            if len(buffer) >= cfg.batch_size:
-                batch = buffer.sample(cfg.batch_size, rng)
-                losses.append(dqn_update(net, target_net, batch, cfg.gamma, cfg.alpha))
+            replay.push(obs, int(action), reward, next_obs, done)
+            if replay.size >= cfg.batch_size:
+                batch = replay.sample(cfg.batch_size, rng)
+                loss = _dqn_step(net, target_net, *batch, cfg.gamma, cfg.alpha)
+                if not math.isfinite(loss):
+                    raise ValueError(
+                        f"training diverged: loss {loss} at episode {episode}, step {step}"
+                    )
+                losses.append(loss)
             obs = next_obs
             step += 1
             if step % cfg.target_sync_period == 0:
                 target_net = clone_parameters(net)
+        if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+            raise ValueError(
+                f"training diverged: non-finite parameters after episode {episode}, step {step}"
+            )
         mean_loss = float(np.mean(losses)) if losses else None
         history.append(HistoryRow(episode, episode_eps, mean_loss, env.roi(state)))
     return net, history

@@ -481,6 +481,33 @@ class TestCli:
         # the re-emitted checkpoint is byte-identical to the loaded one
         assert (eval_out / "checkpoint_dqn.txt").read_bytes() == ckpt.read_bytes()
 
+    @pytest.mark.parametrize("subcommand", ["run", "train"])
+    def test_diverged_training_fails_without_output(self, tmp_path, capsys, subcommand):
+        # absolute rewards of ~1e3 at alpha 0.01 overflow the network in episode 0
+        synthetic = {"kind": "gbm", "length": 260, "seed": 1, "drift": 0.05, "volatility": 0.3}
+        dates = generate_synthetic(**synthetic).dates()
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "data": {"synthetic": synthetic},
+            "agent": "dqn",
+            "episodes": 5,
+            "reward_mode": "absolute",
+            "alpha": 0.01,
+            "seed": 1,
+            "train_start": dates[0].isoformat(),
+            "train_end": dates[199].isoformat(),
+            "test_start": dates[200].isoformat(),
+            "test_end": dates[-1].isoformat(),
+        }))
+        out = tmp_path / "report"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, err = self.run_cli(
+                capsys, subcommand, "--config", str(config), "--out", str(out)
+            )
+        assert code == 1
+        assert "[train]" in err and "diverged" in err and "episode 0" in err
+        assert not out.exists()
+
     def test_train_rejects_baseline(self, tmp_path, capsys):
         config = self.write_config(tmp_path, agent="buy_and_hold")
         code, _, err = self.run_cli(capsys, "train", "--config", str(config))

@@ -75,7 +75,9 @@ class TestCumulativeReturn:
     def test_compounding_product(self):
         # oracle: explicit product of the three factors
         expected = 1.05 * 1.10 * 0.97 - 1.0
-        assert cumulative_return([0.05, 0.10, -0.03]) == pytest.approx(expected, rel=1e-12)
+        result = cumulative_return([0.05, 0.10, -0.03])
+        assert result == pytest.approx(expected, rel=1e-12)
+        assert type(result) is float
 
     def test_empty_is_zero(self):
         assert cumulative_return([]) == 0.0

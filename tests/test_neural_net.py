@@ -268,3 +268,14 @@ class TestCheckpoint:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="expected"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        net = init_mlp((2, 2), seed=0)
+        path = tmp_path / "net.txt"
+        save_checkpoint(net, path)
+        lines = path.read_text().splitlines()
+        lines[3] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)

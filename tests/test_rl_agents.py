@@ -3,7 +3,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from quantrl.neural_net import Mlp, clone_parameters, init_mlp
+from quantrl.neural_net import Mlp, backward, clone_parameters, forward, init_mlp, sgd_step
 from quantrl.rl_agents import (
     Discretizer,
     EpsilonSchedule,
@@ -18,6 +18,7 @@ from quantrl.rl_agents import (
     buffer_push,
     buffer_sample,
     discretize,
+    dqn_update,
     q_update,
     select_action,
     train_dqn,
@@ -292,6 +293,31 @@ class TestBellmanTargets:
         assert bellman_targets(batch, net, 0.99)[0] == pytest.approx(0.595, rel=1e-12)
 
 
+class TestDqnUpdate:
+    def test_equals_masked_backward_step(self):
+        net = init_mlp((2, 5, 3), seed=4)
+        target = init_mlp((2, 5, 3), seed=5)
+        batch = [
+            transition(reward=0.5, action=2, tag=0.3),
+            transition(reward=-1.0, action=0, terminal=True, tag=-0.7),
+            transition(reward=0.25, action=2, tag=0.9),
+        ]
+        reference = clone_parameters(net)
+        targets = bellman_targets(batch, target, 0.9)
+        target_matrix = np.zeros((3, 3))
+        mask = np.zeros((3, 3), dtype=bool)
+        target_matrix[[0, 1, 2], [2, 0, 2]] = targets
+        mask[[0, 1, 2], [2, 0, 2]] = True
+        states = np.stack([t.state for t in batch])
+        expected_loss, grads = backward(reference, states, target_matrix, mask)
+        sgd_step(reference, grads, 0.05)
+
+        loss = dqn_update(net, target, batch, 0.9, 0.05)
+        assert loss == expected_loss
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, reference.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(net.biases, reference.biases))
+
+
 class TestEpsilonSchedule:
     def test_linear_decay_endpoints(self):
         sched = EpsilonSchedule(1.0, 0.05, 100)
@@ -385,6 +411,59 @@ class TestTrainDqn:
         with pytest.raises(ValueError, match="3 outputs"):
             train_dqn(env, cfg, init_mlp((3, 8, 2), seed=0))
 
+    def test_matches_public_replay_reference(self):
+        # 3 episodes x 13 steps = 39 pushes into 16 slots: the ring wraps twice
+        env = make_env(np.linspace(100, 115, 14), obs_dim=3)
+        cfg = TrainConfig(
+            alpha=0.01, episodes=3, batch_size=4, buffer_capacity=16,
+            target_sync_period=5, seed=3,
+        )
+        trained, history = train_dqn(env, cfg, init_mlp((3, 8, 3), seed=3))
+
+        # the same loop through ReplayBuffer, Transition and dqn_update
+        net = init_mlp((3, 8, 3), seed=3)
+        rng = np.random.default_rng(cfg.seed)
+        total_steps = cfg.episodes * env.steps_per_episode
+        schedule = EpsilonSchedule(cfg.eps_start, cfg.eps_end, round(0.8 * total_steps))
+        target = clone_parameters(net)
+        buffer = ReplayBuffer(cfg.buffer_capacity)
+        losses_per_episode = []
+        step = 0
+        for _ in range(cfg.episodes):
+            state, obs = env.reset()
+            losses, done = [], False
+            while not done:
+                action = select_action(forward(net, obs), schedule.value(step), rng)
+                state, next_obs, reward, done = env.step(state, action)
+                buffer_push(buffer, Transition(obs, int(action), reward, next_obs, done))
+                if len(buffer) >= cfg.batch_size:
+                    batch = buffer_sample(buffer, cfg.batch_size, rng)
+                    losses.append(dqn_update(net, target, batch, cfg.gamma, cfg.alpha))
+                obs = next_obs
+                step += 1
+                if step % cfg.target_sync_period == 0:
+                    target = clone_parameters(net)
+            losses_per_episode.append(float(np.mean(losses)))
+
+        assert all(np.array_equal(a, b) for a, b in zip(trained.weights, net.weights))
+        assert all(np.array_equal(a, b) for a, b in zip(trained.biases, net.biases))
+        assert [r.mean_loss for r in history] == losses_per_episode
+
+    def test_non_finite_loss_raises(self):
+        env, cfg, net = self.small_setup()
+        net.weights[0][:] = np.inf
+        with pytest.raises(ValueError, match="diverged.*episode 0, step 7"):
+            with np.errstate(invalid="ignore", over="ignore"):
+                train_dqn(env, cfg, net)
+
+    def test_non_finite_parameters_raise_at_episode_end(self):
+        # batch larger than one episode: no update runs, only the parameter check
+        env, _, net = self.small_setup()
+        cfg = TrainConfig(episodes=2, batch_size=32, buffer_capacity=64, seed=7)
+        net.biases[-1][0] = np.nan
+        with pytest.raises(ValueError, match="non-finite parameters after episode 0, step 13"):
+            train_dqn(env, cfg, net)
+
     def test_training_changes_parameters_and_records_loss(self):
         env, cfg, net = self.small_setup()
         before = clone_parameters(net)
@@ -472,6 +551,13 @@ class TestSerialization:
         path = tmp_path / "nope.csv"
         path.write_text("bogus\n")
         with pytest.raises(ValueError, match="q-table"):
+            QTable.load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_qtable_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "q.csv"
+        path.write_text(f"state_key,q_hold,q_buy,q_sell\n0-1,0.5,{bad},1.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
             QTable.load(path)
 
     def test_history_csv(self, tmp_path):
