@@ -21,21 +21,20 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     LEARNING_AGENTS,
-    Report,
     compare_metrics_documents,
     config_from_dict,
-    config_to_dict,
     emit_report,
+    emit_training,
     load_bars,
     load_metrics_document,
     prepare_train,
+    read_config,
     run_experiment,
     train_agent,
-    _json_text,
 )
 from .market_data import DataError, generate_synthetic, load_csv, write_csv
-from .neural_net import load_checkpoint, save_checkpoint, Mlp
-from .rl_agents import QTable, write_history
+from .neural_net import load_checkpoint
+from .rl_agents import QTable
 
 OUT_ROOT_ENV = "QUANTRL_OUT_ROOT"
 
@@ -64,13 +63,7 @@ def _apply_overrides(raw: dict, tokens: Sequence[str]) -> dict:
 
 def _load_config(args: argparse.Namespace, extras: Sequence[str]) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ExperimentError("config", str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ExperimentError("config", f"{args.config}: invalid JSON: {exc}") from None
-    try:
-        raw = _apply_overrides(raw, extras)
+        raw = _apply_overrides(read_config(args.config), extras)
         if getattr(args, "seed", None) is not None:
             raw["seed"] = args.seed
         return config_from_dict(raw)
@@ -141,13 +134,7 @@ def cmd_train(args: argparse.Namespace, extras: Sequence[str]) -> int:
         raise ExperimentError("train", str(exc)) from None
     out = _resolve_out_dir(cfg, args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config_echo.json").write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
-        write_history(history, out / "history.csv")
-        if isinstance(artifact, Mlp):
-            save_checkpoint(artifact, out / "checkpoint_dqn.txt")
-        elif isinstance(artifact, QTable):
-            artifact.save(out / "qtable.csv")
+        emit_training(cfg, history, artifact, out)
     except OSError as exc:
         raise ExperimentError("report", str(exc)) from None
     print(f"trained {cfg.agent} for {cfg.episodes} episodes; artifacts in {out}")
@@ -171,36 +158,27 @@ def _load_artifact(cfg: ExperimentConfig, checkpoint: str | None):
 
 def cmd_evaluate(args: argparse.Namespace, extras: Sequence[str]) -> int:
     cfg = _load_config(args, extras)
-    artifact = _load_artifact(cfg, args.checkpoint)
-    report = run_experiment(cfg, artifact=artifact)
-    out = _resolve_out_dir(cfg, args.out)
-    _emit(report, out)
-    _print_summary(report, out)
-    return 0
+    return _report(cfg, _load_artifact(cfg, args.checkpoint), args.out)
 
 
 def cmd_run(args: argparse.Namespace, extras: Sequence[str]) -> int:
-    cfg = _load_config(args, extras)
-    report = run_experiment(cfg)
-    out = _resolve_out_dir(cfg, args.out)
-    _emit(report, out)
-    _print_summary(report, out)
-    return 0
+    return _report(_load_config(args, extras), None, args.out)
 
 
-def _emit(report: Report, out: Path) -> None:
+def _report(cfg: ExperimentConfig, artifact, arg_out: str | None) -> int:
+    """Run the experiment (training unless given an artifact), write and summarize it."""
+    report = run_experiment(cfg, artifact=artifact)
+    out = _resolve_out_dir(cfg, arg_out)
     try:
         emit_report(report, out)
     except OSError as exc:
         raise ExperimentError("report", str(exc)) from None
-
-
-def _print_summary(report: Report, out: Path) -> None:
     start, end = report.test_window_span
     print(f"test window {start}..{end}")
     for name, result in report.strategies.items():
         print(f"  {name}: test ROI {result.test_metrics.roi:+.4%}")
     print(f"report written to {out}")
+    return 0
 
 
 def cmd_compare(args: argparse.Namespace, extras: Sequence[str]) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -50,28 +50,17 @@ from .rl_agents import (
     baseline_buy_and_hold,
     baseline_sma_crossover,
     select_action,
+    simulate,
     train_dqn,
     train_qlearning,
     write_history,
 )
-from .trading_env import CostModel, MarketWindow, TradingEnv, wealth
+from .trading_env import Action, CostModel, MarketWindow, Portfolio, TradingEnv
 
 AGENT_KINDS = ("qtable", "dqn", "buy_and_hold", "sma_crossover")
 LEARNING_AGENTS = ("qtable", "dqn")
 
-COMPARE_COLUMNS = (
-    "strategy",
-    "roi",
-    "cumulative_return",
-    "sharpe",
-    "max_drawdown",
-    "adr",
-    "adtv",
-    "profit_factor",
-    "winning_pct",
-    "ahp",
-)
-# Metric name in the table -> attribute on MetricsReport.
+# Metric name in the comparison table -> attribute on MetricsReport.
 _COMPARE_SOURCE = {
     "roi": "roi",
     "cumulative_return": "cumulative_return",
@@ -83,6 +72,7 @@ _COMPARE_SOURCE = {
     "winning_pct": "winning_pct",
     "ahp": "avg_holding_days",
 }
+COMPARE_COLUMNS = ("strategy", *_COMPARE_SOURCE)
 # Higher is better unless flipped; adtv and ahp are informational only.
 _COMPARE_DIRECTION = {
     "roi": max,
@@ -107,12 +97,6 @@ class ExperimentError(RuntimeError):
         self.stage = stage
 
 
-_SYNTHETIC_KEYS = {
-    "kind", "length", "seed", "start", "base", "amplitude",
-    "period_days", "drift", "volatility", "volume",
-}
-
-
 @dataclass(frozen=True)
 class SyntheticSpec:
     kind: str
@@ -127,89 +111,76 @@ class SyntheticSpec:
     volume: float = 1_000_000.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "length": self.length,
-            "seed": self.seed,
-            "start": self.start.isoformat(),
-            "base": self.base,
-            "amplitude": self.amplitude,
-            "period_days": self.period_days,
-            "drift": self.drift,
-            "volatility": self.volatility,
-            "volume": self.volume,
-        }
-
-
-_KNOWN_KEYS = {
-    "data", "symbol", "train_start", "train_end", "test_start", "test_end",
-    "agent", "window", "use_indicators", "sma_period", "rsi_period",
-    "normalization", "return_field", "initial_cash", "initial_shares",
-    "cost_rate", "reward_mode", "buy_fraction", "sell_fraction", "alpha",
-    "gamma", "episodes", "batch_size", "buffer_capacity",
-    "target_sync_period", "eps_start", "eps_end", "eps_decay_fraction",
-    "hidden_sizes", "state_cuts", "fast_period", "slow_period",
-    "risk_free_rate", "annualization", "holding_day_count", "seed", "out_dir",
-}
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Resolved experiment settings, one field per config key.
+
+    The `data` key resolves to `data_csv` or `data_synthetic`. The other
+    fields carry the config defaults; a `None` default is resolved at parse
+    time (symbol from the data, window from the agent, annualization
+    sqrt(252)), except `out_dir`.
+    """
+
     data_csv: str | None
     data_synthetic: SyntheticSpec | None
-    symbol: str
-    train_start: date
-    train_end: date
-    test_start: date
-    test_end: date
     agent: str
-    window: int
-    use_indicators: bool
-    sma_period: int
-    rsi_period: int
-    normalization: NormalizationMode
-    return_field: str
-    initial_cash: float
-    initial_shares: int
-    cost_rate: float
-    reward_mode: str
-    buy_fraction: float
-    sell_fraction: float
-    alpha: float
-    gamma: float
-    episodes: int
-    batch_size: int
-    buffer_capacity: int
-    target_sync_period: int
-    eps_start: float
-    eps_end: float
-    eps_decay_fraction: float
-    hidden_sizes: tuple[int, ...]
-    state_cuts: tuple[float, ...]
-    fast_period: int
-    slow_period: int
-    risk_free_rate: float
-    annualization: float
-    holding_day_count: str
-    seed: int
-    out_dir: str | None
+    symbol: str | None = None
+    train_start: date = date(2010, 1, 1)
+    train_end: date = date(2019, 12, 31)
+    test_start: date = date(2020, 1, 1)
+    test_end: date = date(2020, 12, 31)
+    window: int | None = None
+    use_indicators: bool = False
+    sma_period: int = 14
+    rsi_period: int = 14
+    normalization: NormalizationMode = "signed_range"
+    return_field: str = "close"
+    initial_cash: float = 100_000.0
+    initial_shares: int = 0
+    cost_rate: float = 0.0
+    reward_mode: str = "percentage"
+    buy_fraction: float = 1.0
+    sell_fraction: float = 1.0
+    alpha: float = 0.001
+    gamma: float = 0.99
+    episodes: int = 200
+    batch_size: int = 32
+    buffer_capacity: int = 10_000
+    target_sync_period: int = 100
+    eps_start: float = 1.0
+    eps_end: float = 0.05
+    eps_decay_fraction: float = 0.8
+    hidden_sizes: tuple[int, ...] = (32, 32)
+    state_cuts: tuple[float, ...] = (-0.001, 0.001)
+    fast_period: int = 10
+    slow_period: int = 30
+    risk_free_rate: float = 0.0
+    annualization: float | None = None
+    holding_day_count: str = "calendar"
+    seed: int = 42
+    out_dir: str | None = None
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            alpha=self.alpha,
-            gamma=self.gamma,
-            episodes=self.episodes,
-            batch_size=self.batch_size,
-            buffer_capacity=self.buffer_capacity,
-            target_sync_period=self.target_sync_period,
-            eps_start=self.eps_start,
-            eps_end=self.eps_end,
-            eps_decay_fraction=self.eps_decay_fraction,
-            seed=self.seed,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def cost_model(self) -> CostModel:
         return CostModel(self.cost_rate)
+
+
+# Config keys: `data` plus every ExperimentConfig field it does not resolve to.
+_KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if not f.name.startswith("data_"))
+CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
+_SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
+# Allowed values of the string-valued keys.
+_CHOICES = {
+    "normalization": ("unit_range", "signed_range"),
+    "return_field": ("close", "adj_close"),
+    "reward_mode": ("percentage", "absolute"),
+    "holding_day_count": ("calendar", "trading"),
+}
 
 
 def _parse_date(raw: Any, key: str) -> date:
@@ -217,6 +188,27 @@ def _parse_date(raw: Any, key: str) -> date:
         return date.fromisoformat(str(raw))
     except ValueError:
         raise ConfigError(f"{key}: expected an ISO date, got {raw!r}") from None
+
+
+# How a raw JSON value becomes a field value, by field annotation; fields
+# whose annotation is not listed keep the raw value.
+_COERCE: dict[str, Callable[[Any, str], Any]] = {
+    "int": lambda raw, key: int(raw),
+    "float": lambda raw, key: float(raw),
+    "bool": lambda raw, key: bool(raw),
+    "date": _parse_date,
+    "tuple[int, ...]": lambda raw, key: tuple(int(v) for v in raw),
+    "tuple[float, ...]": lambda raw, key: tuple(float(v) for v in raw),
+}
+
+
+def _echo(value: Any) -> Any:
+    """A field value as JSON: dates in ISO form, tuples as lists."""
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 def _synthetic_from_dict(raw: dict) -> SyntheticSpec:
@@ -253,7 +245,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     if "data" not in raw:
@@ -261,11 +253,6 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     data = raw["data"]
     if not isinstance(data, dict) or set(data) not in ({"csv"}, {"synthetic"}):
         raise ConfigError("'data' must be exactly one of {\"csv\": path} or {\"synthetic\": {...}}")
-    data_csv = data.get("csv")
-    data_synthetic = (
-        _synthetic_from_dict(data["synthetic"]) if "synthetic" in data else None
-    )
-
     if "agent" not in raw:
         raise ConfigError("missing required key 'agent'")
     agent = raw["agent"]
@@ -273,123 +260,74 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown agent kind {agent!r}; valid kinds: {', '.join(AGENT_KINDS)}"
         )
-
-    symbol = raw.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH")
-
-    train_start = _parse_date(raw.get("train_start", "2010-01-01"), "train_start")
-    train_end = _parse_date(raw.get("train_end", "2019-12-31"), "train_end")
-    test_start = _parse_date(raw.get("test_start", "2020-01-01"), "test_start")
-    test_end = _parse_date(raw.get("test_end", "2020-12-31"), "test_end")
-    if train_start > train_end:
-        raise ConfigError("train_start must not be after train_end")
-    if test_start > test_end:
-        raise ConfigError("test_start must not be after test_end")
-    if train_end >= test_start:
-        raise ConfigError("train window must strictly precede the test window")
-
+    data_csv = data.get("csv")
     window = raw.get("window")
-    if window is None:
-        window = 3 if agent == "qtable" else 10
-    window = int(window)
-    if window < 1:
-        raise ConfigError("window must be >= 1")
-
-    normalization = raw.get("normalization", "signed_range")
-    if normalization not in ("unit_range", "signed_range"):
-        raise ConfigError(f"unknown normalization {normalization!r}")
-    return_field = raw.get("return_field", "close")
-    if return_field not in ("close", "adj_close"):
-        raise ConfigError(f"return_field must be 'close' or 'adj_close', got {return_field!r}")
-    reward_mode = raw.get("reward_mode", "percentage")
-    if reward_mode not in ("percentage", "absolute"):
-        raise ConfigError(f"unknown reward_mode {reward_mode!r}")
-
-    hidden_sizes = tuple(int(s) for s in raw.get("hidden_sizes", (32, 32)))
-    if not hidden_sizes or any(s < 1 for s in hidden_sizes):
-        raise ConfigError("hidden_sizes must be a non-empty list of positive integers")
-    state_cuts = tuple(float(c) for c in raw.get("state_cuts", (-0.001, 0.001)))
-    if not state_cuts or any(b <= a for a, b in zip(state_cuts, state_cuts[1:])):
-        raise ConfigError("state_cuts must be strictly increasing")
-
     annualization = raw.get("annualization")
-    annualization = math.sqrt(252.0) if annualization is None else float(annualization)
-    if annualization <= 0:
+    # Cross-field defaults: a missing or null key takes the derived value.
+    values: dict[str, Any] = {
+        "data_csv": data_csv,
+        "data_synthetic": _synthetic_from_dict(data["synthetic"]) if "synthetic" in data else None,
+        "symbol": str(raw.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH")),
+        "window": int((3 if agent == "qtable" else 10) if window is None else window),
+        "annualization": math.sqrt(252.0) if annualization is None else float(annualization),
+    }
+    for f in _KEY_FIELDS:
+        if f.name not in values:
+            value = raw.get(f.name, f.default)
+            coerce = _COERCE.get(f.type)
+            values[f.name] = value if coerce is None else coerce(value, f.name)
+    cfg = ExperimentConfig(**values)
+
+    for key, choices in _CHOICES.items():
+        if getattr(cfg, key) not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {getattr(cfg, key)!r}")
+    if cfg.train_start > cfg.train_end:
+        raise ConfigError("train_start must not be after train_end")
+    if cfg.test_start > cfg.test_end:
+        raise ConfigError("test_start must not be after test_end")
+    if cfg.train_end >= cfg.test_start:
+        raise ConfigError("train window must strictly precede the test window")
+    if cfg.window < 1:
+        raise ConfigError("window must be >= 1")
+    if not cfg.hidden_sizes or any(s < 1 for s in cfg.hidden_sizes):
+        raise ConfigError("hidden_sizes must be a non-empty list of positive integers")
+    if not cfg.state_cuts or any(b <= a for a, b in zip(cfg.state_cuts, cfg.state_cuts[1:])):
+        raise ConfigError("state_cuts must be strictly increasing")
+    if cfg.annualization <= 0:
         raise ConfigError("annualization must be positive")
-
-    fast_period = int(raw.get("fast_period", 10))
-    slow_period = int(raw.get("slow_period", 30))
-    if not 1 <= fast_period < slow_period:
+    if not 1 <= cfg.fast_period < cfg.slow_period:
         raise ConfigError("need slow_period > fast_period >= 1")
-
-    holding_day_count = raw.get("holding_day_count", "calendar")
-    if holding_day_count not in ("calendar", "trading"):
-        raise ConfigError(f"holding_day_count must be 'calendar' or 'trading', got {holding_day_count!r}")
-
-    cfg = ExperimentConfig(
-        data_csv=data_csv,
-        data_synthetic=data_synthetic,
-        symbol=str(symbol),
-        train_start=train_start,
-        train_end=train_end,
-        test_start=test_start,
-        test_end=test_end,
-        agent=agent,
-        window=window,
-        use_indicators=bool(raw.get("use_indicators", False)),
-        sma_period=int(raw.get("sma_period", 14)),
-        rsi_period=int(raw.get("rsi_period", 14)),
-        normalization=normalization,
-        return_field=return_field,
-        initial_cash=float(raw.get("initial_cash", 100_000.0)),
-        initial_shares=int(raw.get("initial_shares", 0)),
-        cost_rate=float(raw.get("cost_rate", 0.0)),
-        reward_mode=reward_mode,
-        buy_fraction=float(raw.get("buy_fraction", 1.0)),
-        sell_fraction=float(raw.get("sell_fraction", 1.0)),
-        alpha=float(raw.get("alpha", 0.001)),
-        gamma=float(raw.get("gamma", 0.99)),
-        episodes=int(raw.get("episodes", 200)),
-        batch_size=int(raw.get("batch_size", 32)),
-        buffer_capacity=int(raw.get("buffer_capacity", 10_000)),
-        target_sync_period=int(raw.get("target_sync_period", 100)),
-        eps_start=float(raw.get("eps_start", 1.0)),
-        eps_end=float(raw.get("eps_end", 0.05)),
-        eps_decay_fraction=float(raw.get("eps_decay_fraction", 0.8)),
-        hidden_sizes=hidden_sizes,
-        state_cuts=state_cuts,
-        fast_period=fast_period,
-        slow_period=slow_period,
-        risk_free_rate=float(raw.get("risk_free_rate", 0.0)),
-        annualization=annualization,
-        holding_day_count=holding_day_count,
-        seed=int(raw.get("seed", 42)),
-        out_dir=raw.get("out_dir"),
-    )
     if cfg.initial_cash <= 0:
         raise ConfigError("initial_cash must be positive")
     if cfg.initial_shares < 0:
         raise ConfigError("initial_shares must be non-negative")
     if not 0.0 <= cfg.cost_rate < 1.0:
         raise ConfigError("cost_rate must be in [0, 1)")
+    for key in ("buy_fraction", "sell_fraction"):
+        if not 0.0 < getattr(cfg, key) <= 1.0:
+            raise ConfigError(f"{key} must be in (0, 1]")
     if cfg.sma_period < 1 or cfg.rsi_period < 1:
         raise ConfigError("indicator periods must be >= 1")
     try:
         cfg.train_config()  # surfaces RL hyperparameter errors at parse time
-        cfg.cost_model()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
 
 
-def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config."""
+def read_config(path: str | Path) -> Any:
+    """The raw JSON value of a config file, before validation."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    return config_from_dict(raw)
+
+
+def parse_config(path: str | Path) -> ExperimentConfig:
+    """Read and validate a JSON experiment config."""
+    return config_from_dict(read_config(path))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -399,80 +337,29 @@ def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     else:
         assert cfg.data_synthetic is not None
         data = {"synthetic": cfg.data_synthetic.to_dict()}
-    return {
-        "data": data,
-        "symbol": cfg.symbol,
-        "train_start": cfg.train_start.isoformat(),
-        "train_end": cfg.train_end.isoformat(),
-        "test_start": cfg.test_start.isoformat(),
-        "test_end": cfg.test_end.isoformat(),
-        "agent": cfg.agent,
-        "window": cfg.window,
-        "use_indicators": cfg.use_indicators,
-        "sma_period": cfg.sma_period,
-        "rsi_period": cfg.rsi_period,
-        "normalization": cfg.normalization,
-        "return_field": cfg.return_field,
-        "initial_cash": cfg.initial_cash,
-        "initial_shares": cfg.initial_shares,
-        "cost_rate": cfg.cost_rate,
-        "reward_mode": cfg.reward_mode,
-        "buy_fraction": cfg.buy_fraction,
-        "sell_fraction": cfg.sell_fraction,
-        "alpha": cfg.alpha,
-        "gamma": cfg.gamma,
-        "episodes": cfg.episodes,
-        "batch_size": cfg.batch_size,
-        "buffer_capacity": cfg.buffer_capacity,
-        "target_sync_period": cfg.target_sync_period,
-        "eps_start": cfg.eps_start,
-        "eps_end": cfg.eps_end,
-        "eps_decay_fraction": cfg.eps_decay_fraction,
-        "hidden_sizes": list(cfg.hidden_sizes),
-        "state_cuts": list(cfg.state_cuts),
-        "fast_period": cfg.fast_period,
-        "slow_period": cfg.slow_period,
-        "risk_free_rate": cfg.risk_free_rate,
-        "annualization": cfg.annualization,
-        "holding_day_count": cfg.holding_day_count,
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-    }
+    return {"data": data, **{f.name: _echo(getattr(cfg, f.name)) for f in _KEY_FIELDS}}
 
 
 def load_bars(cfg: ExperimentConfig) -> BarSeries:
     if cfg.data_csv is not None:
         return load_csv(cfg.data_csv, symbol=cfg.symbol)
-    spec = cfg.data_synthetic
-    assert spec is not None
-    return generate_synthetic(
-        spec.kind,
-        length=spec.length,
-        seed=spec.seed,
-        start=spec.start,
-        symbol=cfg.symbol,
-        base=spec.base,
-        amplitude=spec.amplitude,
-        period_days=spec.period_days,
-        drift=spec.drift,
-        volatility=spec.volatility,
-        volume=spec.volume,
-    )
+    assert cfg.data_synthetic is not None
+    return generate_synthetic(**asdict(cfg.data_synthetic), symbol=cfg.symbol)
+
+
+def _slice_window(bars: BarSeries, label: str, start: date, end: date) -> BarSeries:
+    window = bars.slice_dates(start, end)
+    if len(window) < 2:
+        raise ValueError(f"{label} window {start}..{end} holds {len(window)} bars, need >= 2")
+    return window
 
 
 def split_train_test(bars: BarSeries, cfg: ExperimentConfig) -> tuple[BarSeries, BarSeries]:
     """Partition bars by the configured date windows; no bar lands in both."""
-    train = bars.slice_dates(cfg.train_start, cfg.train_end)
-    test = bars.slice_dates(cfg.test_start, cfg.test_end)
-    if len(train) < 2:
-        raise ValueError(
-            f"train window {cfg.train_start}..{cfg.train_end} holds {len(train)} bars, need >= 2"
-        )
-    if len(test) < 2:
-        raise ValueError(
-            f"test window {cfg.test_start}..{cfg.test_end} holds {len(test)} bars, need >= 2"
-        )
-    return train, test
+    return (
+        _slice_window(bars, "train", cfg.train_start, cfg.train_end),
+        _slice_window(bars, "test", cfg.test_start, cfg.test_end),
+    )
 
 
 def _context_length(cfg: ExperimentConfig) -> int:
@@ -541,19 +428,14 @@ class PreparedData:
 
 def prepare_train(cfg: ExperimentConfig, bars: BarSeries) -> tuple[BarSeries, Normalizer, MarketWindow]:
     """Train-side artifacts only; never touches test-window rows."""
-    train_bars = bars.slice_dates(cfg.train_start, cfg.train_end)
-    if len(train_bars) < 2:
-        raise ValueError(
-            f"train window {cfg.train_start}..{cfg.train_end} holds {len(train_bars)} bars, need >= 2"
-        )
+    train_bars = _slice_window(bars, "train", cfg.train_start, cfg.train_end)
     normalizer = fit_normalizer(daily_returns(train_bars, cfg.return_field), cfg.normalization)
-    train_window = build_window(train_bars, normalizer, cfg)
-    return train_bars, normalizer, train_window
+    return train_bars, normalizer, build_window(train_bars, normalizer, cfg)
 
 
 def prepare_data(cfg: ExperimentConfig, bars: BarSeries) -> PreparedData:
-    train_bars, test_bars = split_train_test(bars, cfg)
     train_bars, normalizer, train_window = prepare_train(cfg, bars)
+    test_bars = _slice_window(bars, "test", cfg.test_start, cfg.test_end)
     context = train_bars.tail(_context_length(cfg))
     test_window = build_window(test_bars, normalizer, cfg, context=context)
     return PreparedData(bars, train_bars, test_bars, normalizer, train_window, test_window)
@@ -576,15 +458,14 @@ def train_agent(
     cfg: ExperimentConfig, train_window: MarketWindow
 ) -> tuple[Mlp | QTable | None, list[HistoryRow]]:
     """Train the configured agent; baselines have nothing to train."""
+    if cfg.agent not in LEARNING_AGENTS:
+        return None, []
+    env = make_env(cfg, train_window)
     if cfg.agent == "qtable":
-        env = make_env(cfg, train_window)
         discretizer = Discretizer.uniform(train_window.obs_dim, cfg.state_cuts)
         return train_qlearning(env, cfg.train_config(), discretizer)
-    if cfg.agent == "dqn":
-        env = make_env(cfg, train_window)
-        net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, 3), seed=cfg.seed)
-        return train_dqn(env, cfg.train_config(), net)
-    return None, []
+    net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, 3), seed=cfg.seed)
+    return train_dqn(env, cfg.train_config(), net)
 
 
 def greedy_policy(cfg: ExperimentConfig, artifact: Mlp | QTable, obs_dim: int) -> Callable:
@@ -597,26 +478,21 @@ def greedy_policy(cfg: ExperimentConfig, artifact: Mlp | QTable, obs_dim: int) -
 
 
 def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fill]]:
-    """Drive one greedy episode, recording daily wealth and executed fills."""
+    """One greedy episode through `simulate`: daily wealth and executed fills.
+
+    The policy acts at every close but the last, where the episode ends.
+    """
     window = env.window
-    rate = env.costs.proportional_rate
-    state, obs = env.reset()
-    values = np.empty(len(window))
-    fills: list[Fill] = []
-    for t in range(env.steps_per_episode):
-        action = policy(obs)
-        before = state.portfolio
-        state, obs, _, _ = env.step(state, action)
-        after = state.portfolio
-        price = float(window.prices[t])
-        delta = after.shares - before.shares
-        if delta > 0:
-            fills.append(Fill(window.dates[t], "buy", delta, price, cost=delta * price * rate))
-        elif delta < 0:
-            fills.append(Fill(window.dates[t], "sell", -delta, price, cost=-delta * price * rate))
-        values[t] = wealth(after, price)
-    values[-1] = state.wealth_prev
-    return EquityCurve(window.dates, values), fills
+    last = len(window) - 1
+
+    def decide(t: int, portfolio: Portfolio) -> Action:
+        return policy(window.observations[t]) if t < last else Action.HOLD
+
+    state, _ = env.reset()
+    return simulate(
+        window.prices, window.dates, state.portfolio, decide,
+        env.costs, env.buy_fraction, env.sell_fraction,
+    )
 
 
 @dataclass
@@ -647,22 +523,45 @@ class Report:
         return cfg.train_start, cfg.train_end
 
 
-def _evaluate_kind(
+def _window_result(
     cfg: ExperimentConfig,
     kind: str,
     artifact: Mlp | QTable | None,
+    bars: BarSeries,
     window: MarketWindow,
-    window_bars: BarSeries,
-) -> tuple[EquityCurve, list[Fill]]:
+) -> tuple[MetricsReport, EquityCurve, list[Fill], list[RoundTripTrade]]:
+    """Evaluate one strategy on one window, matching its trades once."""
+    window_bars = bars.slice_dates(window.dates[0], window.dates[-1])
     if kind in LEARNING_AGENTS:
         assert artifact is not None
-        env = make_env(cfg, window)
-        return run_policy(env, greedy_policy(cfg, artifact, window.obs_dim))
-    if kind == "buy_and_hold":
-        return baseline_buy_and_hold(window_bars, cfg.initial_cash, cfg.cost_model())
-    return baseline_sma_crossover(
-        window_bars, cfg.fast_period, cfg.slow_period, cfg.initial_cash, cfg.cost_model()
+        policy = greedy_policy(cfg, artifact, window.obs_dim)
+        curve, fills = run_policy(make_env(cfg, window), policy)
+    elif kind == "buy_and_hold":
+        curve, fills = baseline_buy_and_hold(window_bars, cfg.initial_cash, cfg.cost_model())
+    else:
+        curve, fills = baseline_sma_crossover(
+            window_bars, cfg.fast_period, cfg.slow_period, cfg.initial_cash, cfg.cost_model()
+        )
+    # Learning agents start with cfg.initial_shares (baselines start flat);
+    # FIFO matching opens those as one zero-cost lot at the first close.
+    opening = cfg.initial_shares if kind in LEARNING_AGENTS else 0
+    trades = match_trades(
+        fills,
+        final_price=float(window.prices[-1]),
+        final_date=window.dates[-1],
+        day_count=cfg.holding_day_count,
+        trading_dates=window.dates if cfg.holding_day_count == "trading" else None,
+        opening_lot=(window.dates[0], opening, float(window.prices[0])) if opening else None,
     )
+    metrics = compute_report(
+        curve,
+        fills,
+        volumes=window_bars.volumes(),
+        rf_daily=cfg.risk_free_rate,
+        annualization=cfg.annualization,
+        trades=trades,
+    )
+    return metrics, curve, fills, trades
 
 
 def _strategy_result(
@@ -671,32 +570,9 @@ def _strategy_result(
     artifact: Mlp | QTable | None,
     prepared: PreparedData,
 ) -> StrategyResult:
-    results = {}
-    for label, window in (("train", prepared.train_window), ("test", prepared.test_window)):
-        window_bars = prepared.bars.slice_dates(window.dates[0], window.dates[-1])
-        curve, fills = _evaluate_kind(cfg, kind, artifact, window, window_bars)
-        final_price = float(window.prices[-1])
-        metrics = compute_report(
-            curve,
-            fills,
-            volumes=window_bars.volumes(),
-            rf_daily=cfg.risk_free_rate,
-            annualization=cfg.annualization,
-            final_price=final_price,
-            final_date=window.dates[-1],
-            day_count=cfg.holding_day_count,
-        )
-        trades = match_trades(
-            fills,
-            final_price=final_price,
-            final_date=window.dates[-1],
-            day_count=cfg.holding_day_count,
-            trading_dates=window.dates if cfg.holding_day_count == "trading" else None,
-        )
-        results[label] = (metrics, curve, fills, trades)
-    train_metrics = results["train"][0]
-    test_metrics, test_curve, test_fills, test_trades = results["test"]
-    return StrategyResult(kind, train_metrics, test_metrics, test_curve, test_fills, test_trades)
+    train_metrics = _window_result(cfg, kind, artifact, prepared.bars, prepared.train_window)[0]
+    test = _window_result(cfg, kind, artifact, prepared.bars, prepared.test_window)
+    return StrategyResult(kind, train_metrics, *test)
 
 
 def run_experiment(
@@ -739,13 +615,13 @@ def _json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_equity_csv(curve: EquityCurve, path: Path) -> None:
+def _equity_csv(curve: EquityCurve) -> str:
     lines = ["date,value"]
     lines.extend(f"{d.isoformat()},{repr(float(v))}" for d, v in zip(curve.dates, curve.values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
-def _write_trades_csv(trades: Sequence[RoundTripTrade], path: Path) -> None:
+def _trades_csv(trades: Sequence[RoundTripTrade]) -> str:
     lines = ["entry_date,exit_date,shares,entry_price,exit_price,profit,holding_days,mtm_flag"]
     for t in trades:
         lines.append(
@@ -753,7 +629,7 @@ def _write_trades_csv(trades: Sequence[RoundTripTrade], path: Path) -> None:
             f"{repr(float(t.entry_price))},{repr(float(t.exit_price))},"
             f"{repr(float(t.profit))},{repr(float(t.holding_days))},{int(t.mark_to_market)}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def metrics_document(report: Report) -> dict[str, Any]:
@@ -777,37 +653,38 @@ def load_metrics_document(path: str | Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
-    """Write metrics.json, config echo, history, curves, trades, checkpoint."""
+def emit_training(
+    cfg: ExperimentConfig,
+    history: Sequence[HistoryRow],
+    artifact: Mlp | QTable | None,
+    out_dir: str | Path,
+) -> list[Path]:
+    """Write the config echo, history.csv and the trained artifact, if any."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    written = [out / "config_echo.json", out / "history.csv"]
+    written[0].write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
+    write_history(history, written[1])
+    if isinstance(artifact, Mlp):
+        written.append(out / "checkpoint_dqn.txt")
+        save_checkpoint(artifact, written[-1])
+    elif isinstance(artifact, QTable):
+        written.append(out / "qtable.csv")
+        artifact.save(written[-1])
+    return written
 
-    def _emit(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
 
-    _emit("metrics.json", _json_text(metrics_document(report)))
-    _emit("config_echo.json", _json_text(config_to_dict(report.config)))
-    history_path = out / "history.csv"
-    write_history(report.history, history_path)
-    written.append(history_path)
+def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
+    """Write emit_training's files, metrics.json and each strategy's curve and trades."""
+    out = Path(out_dir)
+    written = emit_training(report.config, report.history, report.artifact, out)
+    texts = {"metrics.json": _json_text(metrics_document(report))}
     for name, result in report.strategies.items():
-        equity_path = out / f"equity_{name}.csv"
-        _write_equity_csv(result.test_curve, equity_path)
-        written.append(equity_path)
-        trades_path = out / f"trades_{name}.csv"
-        _write_trades_csv(result.test_trades, trades_path)
-        written.append(trades_path)
-    if isinstance(report.artifact, Mlp):
-        ckpt = out / "checkpoint_dqn.txt"
-        save_checkpoint(report.artifact, ckpt)
-        written.append(ckpt)
-    elif isinstance(report.artifact, QTable):
-        ckpt = out / "qtable.csv"
-        report.artifact.save(ckpt)
-        written.append(ckpt)
+        texts[f"equity_{name}.csv"] = _equity_csv(result.test_curve)
+        texts[f"trades_{name}.csv"] = _trades_csv(result.test_trades)
+    for name, text in texts.items():
+        written.append(out / name)
+        written[-1].write_text(text, encoding="utf-8")
     return written
 
 

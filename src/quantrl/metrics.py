@@ -255,12 +255,15 @@ def match_trades(
     final_date: date | None = None,
     day_count: str = "calendar",
     trading_dates: Sequence[date] | None = None,
+    opening_lot: tuple[date, int, float] | None = None,
 ) -> list[RoundTripTrade]:
     """FIFO pairing of fills into round-trip trades.
 
     Each sell consumes the oldest open buy lots; partially consumed lots
-    split, with fill costs allocated pro rata by shares. Lots still open at
-    the end are closed synthetically at final_price/final_date and flagged
+    split, with fill costs allocated pro rata by shares. `opening_lot`
+    (date, shares, price) is a position held before the first fill; it is
+    the oldest lot and carries no cost. Lots still open at the end are
+    closed synthetically at final_price/final_date and flagged
     mark_to_market; if no final price is given they are left open and
     omitted from the result.
     """
@@ -275,6 +278,11 @@ def match_trades(
     trades: list[RoundTripTrade] = []
     position = 0
     previous: date | None = None
+    if opening_lot is not None:
+        previous, position, price = opening_lot
+        if position <= 0 or price <= 0:
+            raise ValueError("opening lot needs positive shares and price")
+        open_lots.append([previous, position, price, 0.0])
     for fill in fills:
         if previous is not None and fill.date < previous:
             raise ValueError("fills out of chronological order")
@@ -338,11 +346,14 @@ def compute_report(
     final_price: float | None = None,
     final_date: date | None = None,
     day_count: str = "calendar",
+    trades: Sequence[RoundTripTrade] | None = None,
 ) -> MetricsReport:
     """Evaluate every metric over one equity curve and its fills.
 
     `volumes` is the instrument's daily volume aligned with the curve;
     `final_price` marks still-open lots to market for trade statistics.
+    `trades` passes the fills already matched; the matching arguments
+    (`final_price`, `final_date`, `day_count`) are then unused.
     """
     for fill in fills:
         if not curve.dates[0] <= fill.date <= curve.dates[-1]:
@@ -364,13 +375,14 @@ def compute_report(
     volume_avg = adtv(float(volumes.sum()), len(curve)) if volumes is not None else None
     turnover = sum(f.shares for f in fills) / len(curve)
 
-    trades = match_trades(
-        fills,
-        final_price=final_price,
-        final_date=final_date if final_date is not None else curve.dates[-1],
-        day_count=day_count,
-        trading_dates=curve.dates if day_count == "trading" else None,
-    )
+    if trades is None:
+        trades = match_trades(
+            fills,
+            final_price=final_price,
+            final_date=final_date if final_date is not None else curve.dates[-1],
+            day_count=day_count,
+            trading_dates=curve.dates if day_count == "trading" else None,
+        )
     return MetricsReport(
         roi=curve.roi(),
         cumulative_return=cumulative_return(returns),

@@ -1,16 +1,17 @@
 """Learning algorithms and baseline strategies.
 
 Tabular Q-learning over discretized observations, a DQN trained with
-experience replay and a periodically synchronized target network, and the
-two non-learning benchmarks (buy-and-hold, SMA crossover). Every stochastic
-choice flows from one seeded generator, so identical seeds give identical
-training runs.
+experience replay and a periodically synchronized target network, the
+evaluation loop (`simulate`) and the two non-learning benchmarks run by it
+(buy-and-hold, SMA crossover). Every stochastic choice flows from one
+seeded generator, so identical seeds give identical training runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 from .market_data import BarSeries, sma
 from .metrics import EquityCurve, Fill
 from .neural_net import Mlp, _column_backward, clone_parameters, forward, sgd_step
-from .trading_env import Action, CostModel, Portfolio, ZERO_COST, execute_buy, execute_sell
+from .trading_env import Action, CostModel, Portfolio, ZERO_COST, execute_action, wealth
 
 StateKey = tuple[int, ...]
 
@@ -185,8 +186,7 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be >= 1")
         if self.target_sync_period < 1:
             raise ValueError("target_sync_period must be >= 1")
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
-            raise ValueError("need 0 <= eps_end <= eps_start <= 1")
+        EpsilonSchedule(self.eps_start, self.eps_end)  # validates the epsilon range
         if not 0.0 < self.eps_decay_fraction <= 1.0:
             raise ValueError("eps_decay_fraction must be in (0, 1]")
 
@@ -414,6 +414,8 @@ def _dqn_step(
     return loss
 
 
+# A diverging update overflows; the finite checks report that, not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def train_dqn(
     env: Env,
     cfg: TrainConfig,
@@ -467,6 +469,37 @@ def train_dqn(
     return net, history
 
 
+def simulate(
+    prices: Sequence[float] | np.ndarray,
+    dates: Sequence[date],
+    portfolio: Portfolio,
+    decide: Callable[[int, Portfolio], Action | int],
+    costs: CostModel = ZERO_COST,
+    buy_fraction: float = 1.0,
+    sell_fraction: float = 1.0,
+) -> tuple[EquityCurve, list[Fill]]:
+    """The evaluation loop shared by agents and baselines.
+
+    At each close t, decide(t, portfolio) picks an action that executes at
+    that close; the share change is recorded as a Fill and wealth is marked
+    at the same close.
+    """
+    rate = costs.proportional_rate
+    values = np.empty(len(dates))
+    fills: list[Fill] = []
+    for t, price in enumerate(np.asarray(prices, dtype=float).tolist()):
+        after = execute_action(
+            portfolio, decide(t, portfolio), price, costs, buy_fraction, sell_fraction
+        )
+        delta = after.shares - portfolio.shares
+        if delta:
+            side = "buy" if delta > 0 else "sell"
+            fills.append(Fill(dates[t], side, abs(delta), price, cost=abs(delta) * price * rate))
+        portfolio = after
+        values[t] = wealth(portfolio, price)
+    return EquityCurve(dates, values), fills
+
+
 def baseline_buy_and_hold(
     bars: BarSeries,
     initial_cash: float,
@@ -477,23 +510,11 @@ def baseline_buy_and_hold(
         raise ValueError("need at least 2 bars")
     if initial_cash <= 0:
         raise ValueError("initial cash must be positive")
-    closes = bars.closes()
-    dates = bars.dates()
-    portfolio = Portfolio(initial_cash, 0, bars.symbol)
-    fills: list[Fill] = []
-    equity = np.empty(len(bars))
-    for i, price in enumerate(closes):
-        price = float(price)
-        if not fills:
-            bought = execute_buy(portfolio, price, 1.0, costs)
-            if bought.shares > 0:
-                fills.append(
-                    Fill(dates[i], "buy", bought.shares, price,
-                         cost=bought.shares * price * costs.proportional_rate)
-                )
-                portfolio = bought
-        equity[i] = portfolio.cash + portfolio.shares * price
-    return EquityCurve(dates, equity), fills
+
+    def decide(t: int, portfolio: Portfolio) -> Action:
+        return Action.BUY if portfolio.shares == 0 else Action.HOLD
+
+    return simulate(bars.closes(), bars.dates(), Portfolio(initial_cash, 0, bars.symbol), decide, costs)
 
 
 def baseline_sma_crossover(
@@ -514,30 +535,14 @@ def baseline_sma_crossover(
     if initial_cash <= 0:
         raise ValueError("initial cash must be positive")
     closes = bars.closes()
-    dates = bars.dates()
-    fast = sma(closes, fast_period)
-    slow = sma(closes, slow_period)
-    portfolio = Portfolio(initial_cash, 0, bars.symbol)
-    fills: list[Fill] = []
-    equity = np.empty(len(bars))
-    for i, price in enumerate(closes):
-        price = float(price)
-        if i >= slow_period - 1:
-            long_signal = fast[i - fast_period + 1] > slow[i - slow_period + 1]
-            if long_signal and portfolio.shares == 0:
-                bought = execute_buy(portfolio, price, 1.0, costs)
-                if bought.shares > portfolio.shares:
-                    fills.append(
-                        Fill(dates[i], "buy", bought.shares - portfolio.shares, price,
-                             cost=(bought.shares - portfolio.shares) * price * costs.proportional_rate)
-                    )
-                    portfolio = bought
-            elif not long_signal and portfolio.shares > 0:
-                sold_count = portfolio.shares
-                portfolio = execute_sell(portfolio, price, 1.0, costs)
-                fills.append(
-                    Fill(dates[i], "sell", sold_count, price,
-                         cost=sold_count * price * costs.proportional_rate)
-                )
-        equity[i] = portfolio.cash + portfolio.shares * price
-    return EquityCurve(dates, equity), fills
+    # long_signal[t]: the fast SMA over the bars ending at t exceeds the slow one.
+    long_signal = [False] * (slow_period - 1) + (
+        sma(closes, fast_period)[slow_period - fast_period :] > sma(closes, slow_period)
+    ).tolist()
+
+    def decide(t: int, portfolio: Portfolio) -> Action:
+        if long_signal[t] == (portfolio.shares > 0):
+            return Action.HOLD
+        return Action.BUY if long_signal[t] else Action.SELL
+
+    return simulate(closes, bars.dates(), Portfolio(initial_cash, 0, bars.symbol), decide, costs)

@@ -21,6 +21,9 @@ class Action(IntEnum):
     SELL = 2
 
 
+_HOLD, _BUY, _SELL = (int(a) for a in Action)
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Proportional transaction cost, charged per trade side on notional."""
@@ -116,6 +119,25 @@ def execute_sell(
     return replace(portfolio, cash=portfolio.cash + proceeds, shares=portfolio.shares - sold)
 
 
+def execute_action(
+    portfolio: Portfolio,
+    action: Action | int,
+    price: float,
+    costs: CostModel = ZERO_COST,
+    buy_fraction: float = 1.0,
+    sell_fraction: float = 1.0,
+) -> Portfolio:
+    """Execute one action at `price`; Hold leaves the portfolio unchanged."""
+    # Compared as ints: converting through Action(...) costs more than a trade.
+    if action == _BUY:
+        return execute_buy(portfolio, price, buy_fraction, costs)
+    if action == _SELL:
+        return execute_sell(portfolio, price, sell_fraction, costs)
+    if action != _HOLD:
+        raise ValueError(f"{action!r} is not a valid Action")
+    return portfolio
+
+
 @dataclass(frozen=True)
 class MarketWindow:
     """Aligned dates, close prices, and per-day observation vectors."""
@@ -201,6 +223,14 @@ class TradingEnv:
         return self._initial_cash
 
     @property
+    def buy_fraction(self) -> float:
+        return self._buy_fraction
+
+    @property
+    def sell_fraction(self) -> float:
+        return self._sell_fraction
+
+    @property
     def steps_per_episode(self) -> int:
         return len(self._window) - 1
 
@@ -216,14 +246,11 @@ class TradingEnv:
     def step(self, state: EnvState, action: Action | int) -> tuple[EnvState, np.ndarray, float, bool]:
         if state.done:
             raise ValueError("cannot step a finished episode")
-        action = Action(action)
         t = state.step_index
-        price = float(self._window.prices[t])
-        portfolio = state.portfolio
-        if action is Action.BUY:
-            portfolio = execute_buy(portfolio, price, self._buy_fraction, self._costs)
-        elif action is Action.SELL:
-            portfolio = execute_sell(portfolio, price, self._sell_fraction, self._costs)
+        portfolio = execute_action(
+            state.portfolio, action, float(self._window.prices[t]),
+            self._costs, self._buy_fraction, self._sell_fraction,
+        )
         t_next = t + 1
         marked = wealth(portfolio, float(self._window.prices[t_next]))
         if self._reward_mode == "percentage":

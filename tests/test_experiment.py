@@ -1,13 +1,19 @@
 import json
 import math
+import re
+import warnings
+from dataclasses import fields
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from quantrl.cli import main
 from quantrl.experiment import (
+    CONFIG_KEYS,
     ConfigError,
+    ExperimentConfig,
     ExperimentError,
     compare_strategies,
     config_from_dict,
@@ -15,15 +21,18 @@ from quantrl.experiment import (
     emit_report,
     load_bars,
     load_metrics_document,
+    make_env,
     parse_config,
     prepare_data,
     prepare_train,
     run_experiment,
+    run_policy,
     split_train_test,
     train_agent,
 )
 from quantrl.market_data import generate_synthetic, write_csv
-from quantrl.metrics import decode_metric
+from quantrl.metrics import Fill, decode_metric
+from quantrl.trading_env import Action
 
 from conftest import make_series
 
@@ -113,6 +122,66 @@ class TestConfig:
             config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "gamma": 1.5})
         with pytest.raises(ConfigError, match="cost_rate"):
             config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "cost_rate": 1.0})
+        for key in ("buy_fraction", "sell_fraction"):
+            for bad in (0, -0.5, 1.5, 7):
+                with pytest.raises(ConfigError, match=key):
+                    config_from_dict({"data": {"csv": "x.csv"}, "agent": "sma_crossover", key: bad})
+
+    def test_null_values(self):
+        base = {"data": {"csv": "x.csv"}, "agent": "qtable"}
+        cfg = config_from_dict(
+            {**base, "symbol": None, "window": None, "annualization": None,
+             "use_indicators": None, "out_dir": None}
+        )
+        assert (cfg.symbol, cfg.window, cfg.use_indicators, cfg.out_dir) == ("x", 3, False, None)
+        assert cfg.annualization == math.sqrt(252.0)
+        for key in ("alpha", "episodes", "hidden_sizes", "train_start", "normalization"):
+            with pytest.raises(ConfigError):
+                config_from_dict({**base, key: None})
+
+    def test_values_coerced_to_field_types(self):
+        # each typed key is converted to its field's type, whatever JSON type it arrives as
+        checked = 0
+        for f in fields(ExperimentConfig):
+            default = f.default
+            if isinstance(default, bool):
+                raw = int(default)
+            elif isinstance(default, (int, float)):
+                raw = str(default)
+            elif isinstance(default, tuple):
+                raw = [str(v) for v in default]
+            elif isinstance(default, date):
+                raw = default.isoformat()
+            else:
+                continue
+            cfg = config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", f.name: raw})
+            value = getattr(cfg, f.name)
+            assert value == default and type(value) is type(default), f.name
+            if isinstance(default, tuple):
+                assert [type(v) for v in value] == [type(v) for v in default], f.name
+            checked += 1
+        assert checked == 27
+
+    def test_readme_table_matches_schema(self):
+        # The README's config reference lists every optional key with its default.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) != 3 or not cells[0].startswith("`"):
+                continue
+            keys = re.findall(r"`([a-z_]+)`", cells[0])
+            defaults = re.split(r" / |, (?![^\[]*\])", cells[1].replace("`", ""))
+            if len(defaults) != len(keys):
+                defaults = [cells[1].replace("`", "")] * len(keys)
+            documented.update(zip(keys, defaults))
+        assert set(documented) | {"data", "agent"} == set(CONFIG_KEYS)
+        derived = {"symbol": "CSV stem or SYNTH", "window": "10 (qtable: 3)", "annualization": "sqrt(252)"}
+        for f in fields(ExperimentConfig):
+            if f.name in documented:
+                text = derived.get(f.name) or json.dumps(f.default, default=date.isoformat).strip('"')
+                assert documented[f.name] == text, f.name
 
     def test_echo_round_trip(self):
         cfg = sinusoid_config()
@@ -251,6 +320,39 @@ class TestRunExperiment:
             np.array_equal(a, b) for a, b in zip(nets[0].weights, nets[1].weights)
         )
         assert all(np.array_equal(a, b) for a, b in zip(nets[0].biases, nets[1].biases))
+
+
+class TestRunPolicy:
+    @pytest.mark.parametrize("cost_rate, fractions", [(0.0, (1.0, 1.0)), (0.002, (0.5, 0.3))])
+    def test_matches_env_step_loop(self, cost_rate, fractions):
+        # reference: one greedy episode through TradingEnv.step, fills from share deltas
+        cfg = sinusoid_config(
+            agent="qtable", cost_rate=cost_rate, initial_shares=3,
+            buy_fraction=fractions[0], sell_fraction=fractions[1],
+        )
+        window = prepare_data(cfg, load_bars(cfg)).test_window
+        env = make_env(cfg, window)
+
+        def policy(obs):
+            return Action(int(abs(obs.sum()) * 1e4) % 3)
+
+        state, obs = env.reset()
+        values, fills = [], []
+        for t in range(env.steps_per_episode):
+            before = state.portfolio
+            state, obs, _, _ = env.step(state, policy(obs))
+            delta = state.portfolio.shares - before.shares
+            price = float(window.prices[t])
+            if delta:
+                side = "buy" if delta > 0 else "sell"
+                fills.append(Fill(window.dates[t], side, abs(delta), price, abs(delta) * price * cost_rate))
+            values.append(state.portfolio.cash + state.portfolio.shares * price)
+        values.append(state.wealth_prev)
+
+        curve, got = run_policy(env, policy)
+        assert curve.values.tolist() == values
+        assert got == fills
+        assert {f.side for f in fills} == {"buy", "sell"}
 
 
 class TestEmitReport:
@@ -500,13 +602,42 @@ class TestCli:
             "test_end": dates[-1].isoformat(),
         }))
         out = tmp_path / "report"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
             code, _, err = self.run_cli(
                 capsys, subcommand, "--config", str(config), "--out", str(out)
             )
         assert code == 1
-        assert "[train]" in err and "diverged" in err and "episode 0" in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: [train]")
+        assert "diverged" in err and "episode 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("agent", ["dqn", "qtable"])
+    def test_initial_shares_are_an_opening_lot(self, tmp_path, capsys, agent):
+        # the learner sells shares it started with; FIFO matches them to the first close
+        synthetic = {"kind": "gbm", "length": 160, "seed": 3, "drift": 0.05, "volatility": 0.25}
+        dates = generate_synthetic(**synthetic).dates()
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "data": {"synthetic": synthetic},
+            "agent": agent,
+            "episodes": 5,
+            "initial_shares": 5,
+            "sell_fraction": 0.3,
+            "alpha": 0.01 if agent == "dqn" else 0.1,
+            "seed": 7,
+            "train_start": dates[0].isoformat(),
+            "train_end": dates[99].isoformat(),
+            "test_start": dates[100].isoformat(),
+            "test_end": dates[-1].isoformat(),
+        }))
+        out = tmp_path / "report"
+        code, _, err = self.run_cli(capsys, "run", "--config", str(config), "--out", str(out))
+        assert code == 0, err
+        rows = [line.split(",") for line in (out / f"trades_{agent}.csv").read_text().splitlines()[1:]]
+        opening = [r for r in rows if r[0] == dates[100].isoformat() and r[7] == "0"]
+        assert opening and rows[0][3] == repr(float(generate_synthetic(**synthetic).closes()[100]))
+        assert sum(int(r[2]) for r in opening) <= 5
 
     def test_train_rejects_baseline(self, tmp_path, capsys):
         config = self.write_config(tmp_path, agent="buy_and_hold")

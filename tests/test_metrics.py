@@ -294,6 +294,25 @@ class TestMatchTrades:
         assert residual.profit == pytest.approx(50 * (11.5 - 11.0), rel=1e-12)
         assert residual.holding_days == 7.0
 
+    def test_opening_lot_matched_first_at_zero_cost(self):
+        # 5 shares held before the first fill: the sell of 7 takes them, then 2 of the buy
+        fills = [
+            Fill(date(2020, 1, 2), "buy", 10, 11.0, cost=1.0),
+            Fill(date(2020, 1, 4), "sell", 7, 12.0),
+        ]
+        trades = match_trades(
+            fills, final_price=13.0, final_date=date(2020, 1, 6),
+            opening_lot=(date(2020, 1, 1), 5, 10.0),
+        )
+        assert [(t.entry_date, t.shares, t.entry_price, t.mark_to_market) for t in trades] == [
+            (date(2020, 1, 1), 5, 10.0, False),
+            (date(2020, 1, 2), 2, 11.0, False),
+            (date(2020, 1, 2), 8, 11.0, True),
+        ]
+        assert trades[0].profit == 5 * (12.0 - 10.0)
+        with pytest.raises(ValueError, match="opening lot"):
+            match_trades(fills, opening_lot=(date(2020, 1, 1), 0, 10.0))
+
     def test_open_only_marked_to_market(self):
         fills = [Fill(date(2020, 1, 1), "buy", 100, 10.0)]
         trades = match_trades(fills, final_price=9.0, final_date=date(2020, 1, 8))
@@ -394,6 +413,15 @@ class TestComputeReport:
         a = compute_report(curve, fills, volumes, final_price=130.0)
         b = compute_report(curve, fills, volumes, final_price=130.0)
         assert a == b
+
+    def test_trades_matched_by_the_caller(self):
+        curve = curve_of([100.0, 120.0, 90.0, 130.0])
+        fills = [Fill(curve.dates[0], "buy", 3, 100.0), Fill(curve.dates[1], "buy", 2, 120.0),
+                 Fill(curve.dates[2], "sell", 4, 90.0)]
+        trades = match_trades(fills, final_price=130.0, final_date=curve.dates[-1])
+        assert compute_report(curve, fills, trades=trades) == compute_report(
+            curve, fills, final_price=130.0
+        )
 
     def test_volumes_and_adtv(self):
         report = compute_report(curve_of([100.0, 101.0]), volumes=[1000.0, 3000.0])

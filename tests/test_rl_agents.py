@@ -2,6 +2,9 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from quantrl.metrics import match_trades
 
 from quantrl.neural_net import Mlp, backward, clone_parameters, forward, init_mlp, sgd_step
 from quantrl.rl_agents import (
@@ -21,11 +24,12 @@ from quantrl.rl_agents import (
     dqn_update,
     q_update,
     select_action,
+    simulate,
     train_dqn,
     train_qlearning,
     write_history,
 )
-from quantrl.trading_env import Action, CostModel, MarketWindow, TradingEnv
+from quantrl.trading_env import ZERO_COST, Action, CostModel, MarketWindow, Portfolio, TradingEnv
 
 from conftest import make_series
 
@@ -533,6 +537,91 @@ class TestBaselines:
         curve, fills = baseline_sma_crossover(make_series(closes.tolist()), 2, 5, 10_000.0)
         sides = [f.side for f in fills]
         assert "buy" in sides and "sell" in sides
+
+
+@st.composite
+def simulation_inputs(draw):
+    """A positive price path, one random action per close, and a start portfolio."""
+    n = draw(st.integers(2, 40))
+    prices = draw(st.lists(st.floats(1.0, 1_000.0), min_size=n, max_size=n))
+    actions = draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
+    cash = draw(st.floats(1.0, 1e5))
+    shares = draw(st.integers(0, 50))
+    fractions = draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
+    return prices, actions, cash, shares, fractions
+
+
+def run_simulation(prices, actions, cash, shares, fractions, costs=ZERO_COST):
+    """simulate() under a decide rule that plays `actions` and records each portfolio it sees."""
+    dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(len(prices)))
+    seen = []
+
+    def decide(t, portfolio):
+        seen.append(portfolio)
+        return actions[t]
+
+    curve, fills = simulate(prices, dates, Portfolio(cash, shares), decide, costs, *fractions)
+    assert len(seen) == len(prices)
+    return dates, seen, curve, fills
+
+
+def signed_shares(fills):
+    return sum(f.shares if f.side == "buy" else -f.shares for f in fills)
+
+
+class TestSimulate:
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_inputs(), st.floats(0.0, 0.05))
+    def test_never_negative_and_fills_reconcile(self, inputs, rate):
+        prices, actions, cash, shares, fractions = inputs
+        dates, seen, curve, fills = run_simulation(*inputs, costs=CostModel(rate))
+        by_date = {f.date: f for f in fills}
+        assert len(by_date) == len(fills)  # at most one fill per close
+        for p in seen:
+            assert p.cash >= 0 and p.shares >= 0
+        for t in range(len(prices) - 1):
+            fill = by_date.get(dates[t])
+            assert seen[t + 1].shares - seen[t].shares == (signed_shares([fill]) if fill else 0)
+            if fill:
+                assert fill.price == prices[t]
+                assert fill.cost == fill.shares * prices[t] * rate
+            # marked at the close it traded at
+            assert curve.values[t] == seen[t + 1].cash + seen[t + 1].shares * prices[t]
+        final_shares = shares + signed_shares(fills)
+        assert final_shares >= 0
+        assert curve.values[-1] - final_shares * prices[-1] >= -1e-9 * curve.values[-1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_inputs())
+    def test_wealth_conserved_across_trades_at_zero_cost(self, inputs):
+        prices, *_ = inputs
+        _, seen, curve, _ = run_simulation(*inputs)
+        for t, before in enumerate(seen):
+            assert curve.values[t] == pytest.approx(before.cash + before.shares * prices[t], rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(simulation_inputs(), st.floats(0.0, 0.05))
+    def test_matched_shares_sum_to_bought_shares(self, inputs, rate):
+        prices, _, _, shares, _ = inputs
+        dates, _, _, fills = run_simulation(*inputs, costs=CostModel(rate))
+        opening = (dates[0], shares, prices[0]) if shares else None
+        trades = match_trades(fills, prices[-1], dates[-1], opening_lot=opening)
+        bought = shares + sum(f.shares for f in fills if f.side == "buy")
+        assert sum(t.shares for t in trades) == bought
+
+    def test_hold_keeps_the_start_portfolio(self):
+        dates, seen, curve, fills = run_simulation(
+            [10.0, 12.0, 9.0], [Action.HOLD] * 3, 100.0, 2, (1.0, 1.0)
+        )
+        assert fills == [] and all(p == Portfolio(100.0, 2) for p in seen)
+        assert curve.values.tolist() == [120.0, 124.0, 118.0]
+
+    def test_trades_on_the_final_close(self):
+        _, _, curve, fills = run_simulation(
+            [10.0, 20.0], [Action.HOLD, Action.BUY], 100.0, 0, (1.0, 1.0)
+        )
+        assert [(f.side, f.shares, f.price) for f in fills] == [("buy", 5, 20.0)]
+        assert curve.values.tolist() == [100.0, 100.0]
 
 
 class TestSerialization:
