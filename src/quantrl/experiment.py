@@ -315,14 +315,17 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def read_config(path: str | Path) -> Any:
-    """The raw JSON value of a config file, before validation."""
+def read_config(path: str | Path) -> dict:
+    """The raw JSON object of a config file, before its keys are validated."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    return raw
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:

@@ -209,12 +209,18 @@ def write_history(rows: Sequence[HistoryRow], path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Maps observation vectors to per-feature bin indices via cut points."""
+    """Maps observation vectors to per-feature bin indices via cut points.
+
+    Keys are memoized per observation (by its float64 bytes), so each
+    distinct observation is binned once per instance.
+    """
 
     cuts: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cuts", tuple(tuple(c) for c in self.cuts))
+        # Not a field: the memo stays out of ==, hash and repr.
+        object.__setattr__(self, "_keys", {})
         if not self.cuts:
             raise ValueError("need cut points for at least one feature")
         for feature_cuts in self.cuts:
@@ -233,7 +239,11 @@ class Discretizer:
         return len(self.cuts)
 
     def __call__(self, obs: np.ndarray) -> StateKey:
-        return discretize(obs, self.cuts)
+        raw = np.asarray(obs, dtype=float).tobytes()
+        key = self._keys.get(raw)
+        if key is None:
+            key = self._keys[raw] = discretize(obs, self.cuts)
+        return key
 
 
 def discretize(obs: np.ndarray, cuts: Sequence[Sequence[float]]) -> StateKey:
@@ -372,14 +382,15 @@ def train_qlearning(
     step = 0
     for episode in range(cfg.episodes):
         state, obs = env.reset()
+        key = discretizer(obs)
         episode_eps = schedule.value(step)
         done = False
         while not done:
-            key = discretizer(obs)
             action = select_action(table.action_values(key), schedule.value(step), rng)
             state, next_obs, reward, done = env.step(state, action)
-            q_update(table, key, action, reward, discretizer(next_obs), done, cfg.alpha, cfg.gamma)
-            obs = next_obs
+            next_key = discretizer(next_obs)
+            q_update(table, key, action, reward, next_key, done, cfg.alpha, cfg.gamma)
+            key = next_key
             step += 1
         history.append(HistoryRow(episode, episode_eps, None, env.roi(state)))
     return table, history

@@ -533,6 +533,15 @@ class TestCli:
         code, _, err = self.run_cli(capsys, "run", "--config", str(path))
         assert code == 1 and "[config]" in err
 
+    @pytest.mark.parametrize("document", [[], ["agent"], 3])
+    @pytest.mark.parametrize("flags", [("--seed", "3"), ("--episodes=3",), ()])
+    def test_non_object_config_is_tagged(self, tmp_path, capsys, document, flags):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(document))
+        code, _, err = self.run_cli(capsys, "run", "--config", str(path), *flags)
+        assert code == 1
+        assert err == "error: [config] config must be a JSON object\n"
+
     def test_malformed_override_is_tagged(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         code, _, err = self.run_cli(

@@ -2,6 +2,7 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantrl.market_data import (
     Bar,
@@ -141,6 +142,56 @@ class TestLoadCsv:
         again = load_csv(path, symbol=bars.symbol)
         assert np.array_equal(again.closes(), bars.closes())
         assert again.dates() == bars.dates()
+
+
+VALID_CSV_ROWS = (
+    ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"],
+    ["2020-01-01", "10", "11", "9", "10.5", "10.4", "1000"],
+    ["2020-01-02", "10.5", "12", "10", "11.5", "11.4", "1100"],
+    ["2020-01-03", "11.5", "12", "11", "12.0", "11.9", "900"],
+)
+
+BAD_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "-0.0", "1e309", "", " ", "1,5", "1e-400")
+
+
+@st.composite
+def mutated_csv(draw):
+    """A valid price CSV with a few data fields, dates or bytes broken."""
+    rows = [list(row) for row in VALID_CSV_ROWS]
+    index = st.integers(0, 1_000)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["delete_field", "set_field", "swap_dates", "swap_high_low"]))
+        row = rows[1 + draw(index) % 3]
+        if kind == "delete_field" and row:
+            del row[draw(index) % len(row)]
+        elif kind == "set_field" and row:
+            text = draw(st.one_of(st.sampled_from(BAD_NUMBERS), st.text(max_size=6)))
+            row[draw(index) % len(row)] = text
+        elif kind == "swap_dates":
+            other = rows[1 + draw(index) % 3]
+            if row and other:
+                row[0], other[0] = other[0], row[0]
+        elif kind == "swap_high_low" and len(row) > 3:
+            row[2], row[3] = row[3], row[2]
+    data = ("\n".join(",".join(row) for row in rows) + "\n").encode("utf-8")
+    for _ in range(draw(st.integers(0, 1))):
+        junk = draw(st.one_of(st.just(b"\x00"), st.just(b"\xff"), st.binary(min_size=1, max_size=3)))
+        at = draw(index) % (len(data) + 1)
+        data = data[:at] + junk + data[at:]
+    return data
+
+
+class TestLoadCsvProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_csv())
+    def test_loads_or_raises_data_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "mutated.csv"
+        path.write_bytes(data)
+        try:
+            bars = load_csv(path)
+        except DataError:
+            return
+        assert len(bars) >= 1
 
 
 class TestDailyReturns:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantrl.experiment import config_from_dict, load_bars, make_env as make_config_env, prepare_train
+from quantrl.market_data import generate_synthetic
 from quantrl.metrics import match_trades
 
 from quantrl.neural_net import Mlp, backward, clone_parameters, forward, init_mlp, sgd_step
@@ -106,6 +108,25 @@ def chain_discretizer(obs):
     return (int(obs[0]),)
 
 
+@st.composite
+def memo_inputs(draw):
+    """Cut points, a pool of finite observations and a call order that repeats them."""
+    dim = draw(st.integers(1, 4))
+    cuts = tuple(
+        tuple(sorted(draw(st.sets(st.floats(-2.0, 2.0), min_size=1, max_size=4))))
+        for _ in range(dim)
+    )
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, *(c for feature in cuts for c in feature)]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    calls = draw(
+        st.lists(st.tuples(st.integers(0, len(pool) - 1), st.booleans()), max_size=20)
+    )
+    return cuts, [np.array(obs) for obs in pool], [(0, False), *calls]
+
+
 class TestDiscretize:
     CUTS = ((-0.001, 0.001),)
 
@@ -130,6 +151,23 @@ class TestDiscretize:
         disc = Discretizer.uniform(3, (-0.001, 0.001))
         assert disc.dim == 3
         assert disc(np.array([-1.0, 0.0, 1.0])) == (0, 1, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(memo_inputs())
+    def test_memo_matches_discretize(self, inputs):
+        cuts, pool, calls = inputs
+        disc = Discretizer(cuts)
+        for index, as_row in calls:
+            obs = pool[index][None, :] if as_row else pool[index]
+            assert disc(obs) == discretize(obs, cuts)
+        with pytest.raises(ValueError, match="features"):
+            disc(np.append(pool[0], 0.0))
+
+    def test_memo_stays_out_of_equality(self):
+        used = Discretizer.uniform(2, (-0.001, 0.001))
+        fresh = Discretizer.uniform(2, (-0.001, 0.001))
+        assert used(np.array([0.5, -0.5])) == used(np.array([[0.5, -0.5]])) == (2, 0)
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
 
     def test_discretizer_validation(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -356,7 +394,56 @@ class TestTrainConfig:
             TrainConfig(gamma=1.0)
 
 
+def reference_qlearning(env, cfg, cuts, schedule):
+    """Q-learning that bins both observations of every step with `discretize`."""
+    rng = np.random.default_rng(cfg.seed)
+    table = QTable()
+    history = []
+    step = 0
+    for episode in range(cfg.episodes):
+        state, obs = env.reset()
+        episode_eps = schedule.value(step)
+        done = False
+        while not done:
+            key = discretize(obs, cuts)
+            action = select_action(table.action_values(key), schedule.value(step), rng)
+            state, next_obs, reward, done = env.step(state, action)
+            next_key = discretize(next_obs, cuts)
+            q_update(table, key, action, reward, next_key, done, cfg.alpha, cfg.gamma)
+            obs = next_obs
+            step += 1
+        history.append(HistoryRow(episode, episode_eps, None, env.roi(state)))
+    return table, history
+
+
 class TestTrainQLearning:
+    def test_matches_twice_per_step_reference(self):
+        dates = generate_synthetic("gbm", length=160).dates()
+        cfg = config_from_dict(
+            {
+                "data": {"synthetic": {"kind": "gbm", "length": 160, "seed": 4, "volatility": 0.3}},
+                "agent": "qtable",
+                "train_start": dates[0].isoformat(),
+                "train_end": dates[119].isoformat(),
+                "test_start": dates[120].isoformat(),
+                "test_end": dates[-1].isoformat(),
+                "use_indicators": True,
+                "cost_rate": 0.002,
+                "state_cuts": [-0.5, -0.1, 0.0, 0.1, 0.5, 0.97, 1.0, 1.03],
+            }
+        )
+        _, _, window = prepare_train(cfg, load_bars(cfg))
+        env = make_config_env(cfg, window)
+        disc = Discretizer.uniform(window.obs_dim, cfg.state_cuts)
+        train_cfg = TrainConfig(alpha=0.2, gamma=0.9, episodes=8, seed=3)
+        schedule = EpsilonSchedule(1.0, 0.05, 4 * env.steps_per_episode)
+        table, history = train_qlearning(env, train_cfg, disc, schedule)
+        ref_table, ref_history = reference_qlearning(env, train_cfg, disc.cuts, schedule)
+        assert len(table) > 10
+        pairs = list(zip(table.items(), ref_table.items(), strict=True))
+        assert all(k == ref_k and np.array_equal(q, ref_q) for (k, q), (ref_k, ref_q) in pairs)
+        assert history == ref_history
+
     def test_deterministic_per_seed(self):
         env = make_env(np.linspace(100, 120, 12))
         disc = Discretizer.uniform(2, (-0.001, 0.001))
