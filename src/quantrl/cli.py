@@ -32,7 +32,7 @@ from .experiment import (
     run_experiment,
     train_agent,
 )
-from .market_data import DataError, generate_synthetic, load_csv, write_csv
+from .market_data import SYNTHETIC_KINDS, DataError, generate_synthetic, load_csv, write_csv
 from .neural_net import load_checkpoint
 from .rl_agents import QTable
 
@@ -216,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(cmd=cmd_ingest)
 
     p_synth = sub.add_parser("synth", help="write a synthetic price fixture CSV")
-    p_synth.add_argument("--kind", required=True, choices=("sinusoid", "trend", "gbm"))
+    p_synth.add_argument("--kind", required=True, choices=SYNTHETIC_KINDS)
     p_synth.add_argument("--out", required=True, help="output CSV path")
     p_synth.add_argument("--length", type=int, default=300)
     p_synth.add_argument("--seed", type=int, default=0)

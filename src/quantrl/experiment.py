@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import Field, asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -114,14 +114,14 @@ class SyntheticSpec:
         return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(TrainConfig):
     """Resolved experiment settings, one field per config key.
 
-    The `data` key resolves to `data_csv` or `data_synthetic`. The other
-    fields carry the config defaults; a `None` default is resolved at parse
-    time (symbol from the data, window from the agent, annualization
-    sqrt(252)), except `out_dir`.
+    The RL hyperparameters and `seed` are TrainConfig's. The `data` key
+    resolves to `data_csv` or `data_synthetic`. The other fields carry the
+    config defaults; a `None` default is resolved at parse time (symbol from
+    the data, window from the agent, annualization sqrt(252)), except `out_dir`.
     """
 
     data_csv: str | None
@@ -144,15 +144,6 @@ class ExperimentConfig:
     reward_mode: str = "percentage"
     buy_fraction: float = 1.0
     sell_fraction: float = 1.0
-    alpha: float = 0.001
-    gamma: float = 0.99
-    episodes: int = 200
-    batch_size: int = 32
-    buffer_capacity: int = 10_000
-    target_sync_period: int = 100
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_fraction: float = 0.8
     hidden_sizes: tuple[int, ...] = (32, 32)
     state_cuts: tuple[float, ...] = (-0.001, 0.001)
     fast_period: int = 10
@@ -160,11 +151,7 @@ class ExperimentConfig:
     risk_free_rate: float = 0.0
     annualization: float | None = None
     holding_day_count: str = "calendar"
-    seed: int = 42
     out_dir: str | None = None
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def cost_model(self) -> CostModel:
         return CostModel(self.cost_rate)
@@ -183,23 +170,39 @@ _CHOICES = {
 }
 
 
-def _parse_date(raw: Any, key: str) -> date:
-    try:
-        return date.fromisoformat(str(raw))
-    except ValueError:
-        raise ConfigError(f"{key}: expected an ISO date, got {raw!r}") from None
-
-
 # How a raw JSON value becomes a field value, by field annotation; fields
 # whose annotation is not listed keep the raw value.
-_COERCE: dict[str, Callable[[Any, str], Any]] = {
-    "int": lambda raw, key: int(raw),
-    "float": lambda raw, key: float(raw),
-    "bool": lambda raw, key: bool(raw),
-    "date": _parse_date,
-    "tuple[int, ...]": lambda raw, key: tuple(int(v) for v in raw),
-    "tuple[float, ...]": lambda raw, key: tuple(float(v) for v in raw),
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "int": int,
+    "float": float,
+    "int | None": lambda raw: None if raw is None else int(raw),
+    "float | None": lambda raw: None if raw is None else float(raw),
+    "bool": bool,
+    "date": lambda raw: date.fromisoformat(str(raw)),
+    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw),
+    "tuple[float, ...]": lambda raw: tuple(float(v) for v in raw),
 }
+
+
+def _field_values(specs: Sequence[Field], raw: dict, prefix: str = "") -> dict[str, Any]:
+    """The values `raw` gives for these fields, each coerced by its annotation.
+
+    Absent fields are left out, so the dataclass fills their defaults. A value
+    that does not coerce is a ConfigError naming the dotted key.
+    """
+    values = {}
+    for f in specs:
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        coerce = _COERCE.get(f.type)
+        if coerce is not None:
+            try:
+                value = coerce(value)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{prefix}{f.name}: expected {f.type}, got {value!r}") from None
+        values[f.name] = value
+    return values
 
 
 def _echo(value: Any) -> Any:
@@ -223,13 +226,7 @@ def _synthetic_from_dict(raw: dict) -> SyntheticSpec:
         )
     if "length" not in raw:
         raise ConfigError("synthetic data needs a 'length'")
-    values = dict(raw)
-    if "start" in values:
-        values["start"] = _parse_date(values["start"], "data.synthetic.start")
-    try:
-        return SyntheticSpec(**values)
-    except TypeError as exc:
-        raise ConfigError(f"invalid synthetic spec: {exc}") from None
+    return SyntheticSpec(**_field_values(fields(SyntheticSpec), raw, "data.synthetic."))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -261,22 +258,21 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             f"unknown agent kind {agent!r}; valid kinds: {', '.join(AGENT_KINDS)}"
         )
     data_csv = data.get("csv")
-    window = raw.get("window")
-    annualization = raw.get("annualization")
-    # Cross-field defaults: a missing or null key takes the derived value.
     values: dict[str, Any] = {
         "data_csv": data_csv,
         "data_synthetic": _synthetic_from_dict(data["synthetic"]) if "synthetic" in data else None,
-        "symbol": str(raw.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH")),
-        "window": int((3 if agent == "qtable" else 10) if window is None else window),
-        "annualization": math.sqrt(252.0) if annualization is None else float(annualization),
+        **_field_values(_KEY_FIELDS, raw),
     }
-    for f in _KEY_FIELDS:
-        if f.name not in values:
-            value = raw.get(f.name, f.default)
-            coerce = _COERCE.get(f.type)
-            values[f.name] = value if coerce is None else coerce(value, f.name)
-    cfg = ExperimentConfig(**values)
+    # Cross-field defaults: a missing or null key takes the derived value.
+    values["symbol"] = str(values.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH"))
+    if values.get("window") is None:
+        values["window"] = 3 if agent == "qtable" else 10
+    if values.get("annualization") is None:
+        values["annualization"] = math.sqrt(252.0)
+    try:
+        cfg = ExperimentConfig(**values)
+    except ValueError as exc:  # TrainConfig's hyperparameter checks
+        raise ConfigError(str(exc)) from None
 
     for key, choices in _CHOICES.items():
         if getattr(cfg, key) not in choices:
@@ -308,10 +304,6 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{key} must be in (0, 1]")
     if cfg.sma_period < 1 or cfg.rsi_period < 1:
         raise ConfigError("indicator periods must be >= 1")
-    try:
-        cfg.train_config()  # surfaces RL hyperparameter errors at parse time
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return cfg
 
 
@@ -424,7 +416,6 @@ class PreparedData:
     bars: BarSeries
     train_bars: BarSeries
     test_bars: BarSeries
-    normalizer: Normalizer
     train_window: MarketWindow
     test_window: MarketWindow
 
@@ -441,7 +432,7 @@ def prepare_data(cfg: ExperimentConfig, bars: BarSeries) -> PreparedData:
     test_bars = _slice_window(bars, "test", cfg.test_start, cfg.test_end)
     context = train_bars.tail(_context_length(cfg))
     test_window = build_window(test_bars, normalizer, cfg, context=context)
-    return PreparedData(bars, train_bars, test_bars, normalizer, train_window, test_window)
+    return PreparedData(bars, train_bars, test_bars, train_window, test_window)
 
 
 def make_env(cfg: ExperimentConfig, window: MarketWindow) -> TradingEnv:
@@ -452,7 +443,6 @@ def make_env(cfg: ExperimentConfig, window: MarketWindow) -> TradingEnv:
         reward_mode=cfg.reward_mode,
         buy_fraction=cfg.buy_fraction,
         sell_fraction=cfg.sell_fraction,
-        symbol=cfg.symbol,
         initial_shares=cfg.initial_shares,
     )
 
@@ -466,9 +456,9 @@ def train_agent(
     env = make_env(cfg, train_window)
     if cfg.agent == "qtable":
         discretizer = Discretizer.uniform(train_window.obs_dim, cfg.state_cuts)
-        return train_qlearning(env, cfg.train_config(), discretizer)
+        return train_qlearning(env, cfg, discretizer)
     net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, 3), seed=cfg.seed)
-    return train_dqn(env, cfg.train_config(), net)
+    return train_dqn(env, cfg, net)
 
 
 def greedy_policy(cfg: ExperimentConfig, artifact: Mlp | QTable, obs_dim: int) -> Callable:
@@ -504,7 +494,6 @@ class StrategyResult:
     train_metrics: MetricsReport
     test_metrics: MetricsReport
     test_curve: EquityCurve
-    test_fills: list[Fill]
     test_trades: list[RoundTripTrade]
 
 
@@ -520,11 +509,6 @@ class Report:
         result = next(iter(self.strategies.values()))
         return result.test_curve.dates[0], result.test_curve.dates[-1]
 
-    @property
-    def train_window_span(self) -> tuple[date, date]:
-        cfg = self.config
-        return cfg.train_start, cfg.train_end
-
 
 def _window_result(
     cfg: ExperimentConfig,
@@ -532,7 +516,7 @@ def _window_result(
     artifact: Mlp | QTable | None,
     bars: BarSeries,
     window: MarketWindow,
-) -> tuple[MetricsReport, EquityCurve, list[Fill], list[RoundTripTrade]]:
+) -> tuple[MetricsReport, EquityCurve, list[RoundTripTrade]]:
     """Evaluate one strategy on one window, matching its trades once."""
     window_bars = bars.slice_dates(window.dates[0], window.dates[-1])
     if kind in LEARNING_AGENTS:
@@ -564,7 +548,7 @@ def _window_result(
         annualization=cfg.annualization,
         trades=trades,
     )
-    return metrics, curve, fills, trades
+    return metrics, curve, trades
 
 
 def _strategy_result(
@@ -636,11 +620,11 @@ def _trades_csv(trades: Sequence[RoundTripTrade]) -> str:
 
 
 def metrics_document(report: Report) -> dict[str, Any]:
+    cfg = report.config
     test_span = report.test_window_span
-    train_span = report.train_window_span
     return {
-        "symbol": report.config.symbol,
-        "train_window": {"start": train_span[0].isoformat(), "end": train_span[1].isoformat()},
+        "symbol": cfg.symbol,
+        "train_window": {"start": cfg.train_start.isoformat(), "end": cfg.train_end.isoformat()},
         "test_window": {"start": test_span[0].isoformat(), "end": test_span[1].isoformat()},
         "strategies": {
             name: {

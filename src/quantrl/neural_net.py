@@ -81,21 +81,27 @@ def _as_batch(arr: np.ndarray) -> np.ndarray:
     return a[None, :] if a.ndim == 1 else a
 
 
+def _selection(mask: np.ndarray | None, shape: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The elements a mask selects (all, if None) as booleans, and their count."""
+    if mask is None:
+        selected = np.ones(shape, dtype=bool)
+    else:
+        selected = _as_batch(mask).astype(bool)
+        if selected.shape != shape:
+            raise ValueError(f"mask shape {selected.shape} does not match {shape}")
+    count = int(selected.sum())
+    if count == 0:
+        raise ValueError("empty selection: mask selects no elements")
+    return selected, count
+
+
 def mse_loss(predicted: np.ndarray, target: np.ndarray, mask: np.ndarray | None = None) -> float:
     """Mean squared difference over selected elements (all, if mask is None)."""
     pred = _as_batch(predicted)
     tgt = _as_batch(target)
     if pred.shape != tgt.shape:
         raise ValueError(f"shape mismatch: predicted {pred.shape} vs target {tgt.shape}")
-    if mask is None:
-        selected = np.ones(pred.shape, dtype=bool)
-    else:
-        selected = _as_batch(mask).astype(bool)
-        if selected.shape != pred.shape:
-            raise ValueError(f"mask shape {selected.shape} does not match {pred.shape}")
-    count = int(selected.sum())
-    if count == 0:
-        raise ValueError("empty selection: mask selects no elements")
+    selected, count = _selection(mask, pred.shape)
     diff = np.where(selected, pred - tgt, 0.0)
     return float((diff * diff).sum() / count)
 
@@ -113,16 +119,7 @@ def backward(
         raise ValueError("input width does not match first layer size")
     if tgt.shape != (x.shape[0], net.layer_sizes[-1]):
         raise ValueError("target shape does not match batch and output size")
-    if mask is None:
-        selected = np.ones(tgt.shape, dtype=bool)
-    else:
-        selected = _as_batch(mask).astype(bool)
-        if selected.shape != tgt.shape:
-            raise ValueError(f"mask shape {selected.shape} does not match {tgt.shape}")
-    count = int(selected.sum())
-    if count == 0:
-        raise ValueError("empty selection: mask selects no elements")
-
+    selected, count = _selection(mask, tgt.shape)
     zs, activations = _forward_full(net, x)
     residual = np.where(selected, activations[-1] - tgt, 0.0)
     return _backprop(net, zs, activations, residual, count)

@@ -28,7 +28,11 @@ HISTORY_HEADER = "episode,epsilon,mean_loss,roi"
 
 
 class Env(Protocol):
-    """What the training loops need from an environment."""
+    """What the training loops need from an environment, and no more.
+
+    TradingEnv's observations depend only on the step index, but an Env's
+    next observation may also depend on the action taken (a chain MDP does).
+    """
 
     steps_per_episode: int
 
@@ -525,7 +529,7 @@ def baseline_buy_and_hold(
     def decide(t: int, portfolio: Portfolio) -> Action:
         return Action.BUY if portfolio.shares == 0 else Action.HOLD
 
-    return simulate(bars.closes(), bars.dates(), Portfolio(initial_cash, 0, bars.symbol), decide, costs)
+    return simulate(bars.closes(), bars.dates(), Portfolio(initial_cash, 0), decide, costs)
 
 
 def baseline_sma_crossover(
@@ -556,4 +560,4 @@ def baseline_sma_crossover(
             return Action.HOLD
         return Action.BUY if long_signal[t] else Action.SELL
 
-    return simulate(closes, bars.dates(), Portfolio(initial_cash, 0, bars.symbol), decide, costs)
+    return simulate(closes, bars.dates(), Portfolio(initial_cash, 0), decide, costs)

@@ -42,7 +42,6 @@ ZERO_COST = CostModel(0.0)
 class Portfolio:
     cash: float
     shares: int
-    symbol: str = ""
 
     def __post_init__(self) -> None:
         if self.cash < 0:
@@ -171,95 +170,72 @@ class MarketWindow:
         return self.observations.shape[1]
 
 
+@dataclass(frozen=True, eq=False)
 class TradingEnv:
     """Deterministic episode over a MarketWindow.
 
     One step consumes one day transition, so an episode over a window of W
     days emits exactly W - 1 steps. Sell with no shares and unaffordable
     buys degrade to Hold so exploration never crashes an episode.
+    Observations are exogenous: the one returned at step t is
+    window.observations[t], whatever the actions and the portfolio. Equality
+    is identity; the settings are read-only fields.
     """
 
-    def __init__(
-        self,
-        window: MarketWindow,
-        initial_cash: float,
-        costs: CostModel = ZERO_COST,
-        reward_mode: str = "percentage",
-        buy_fraction: float = 1.0,
-        sell_fraction: float = 1.0,
-        symbol: str = "",
-        initial_shares: int = 0,
-    ) -> None:
-        if len(window) < 2:
+    window: MarketWindow
+    initial_cash: float
+    costs: CostModel = ZERO_COST
+    reward_mode: str = "percentage"
+    buy_fraction: float = 1.0
+    sell_fraction: float = 1.0
+    initial_shares: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.window) < 2:
             raise ValueError("data window needs at least 2 steps")
-        if initial_cash <= 0:
+        if self.initial_cash <= 0:
             raise ValueError("initial cash must be positive")
-        if initial_shares < 0:
+        if self.initial_shares < 0:
             raise ValueError("initial shares must be non-negative")
-        if reward_mode not in ("percentage", "absolute"):
-            raise ValueError(f"unknown reward mode {reward_mode!r}")
-        if not (0.0 < buy_fraction <= 1.0 and 0.0 < sell_fraction <= 1.0):
+        if self.reward_mode not in ("percentage", "absolute"):
+            raise ValueError(f"unknown reward mode {self.reward_mode!r}")
+        if not (0.0 < self.buy_fraction <= 1.0 and 0.0 < self.sell_fraction <= 1.0):
             raise ValueError("buy/sell fractions must be in (0, 1]")
-        self._window = window
-        self._initial_cash = float(initial_cash)
-        self._initial_shares = int(initial_shares)
-        self._costs = costs
-        self._reward_mode = reward_mode
-        self._buy_fraction = buy_fraction
-        self._sell_fraction = sell_fraction
-        self._symbol = symbol
-        self._initial_wealth = self._initial_cash + self._initial_shares * float(window.prices[0])
-
-    @property
-    def window(self) -> MarketWindow:
-        return self._window
-
-    @property
-    def costs(self) -> CostModel:
-        return self._costs
-
-    @property
-    def initial_cash(self) -> float:
-        return self._initial_cash
-
-    @property
-    def buy_fraction(self) -> float:
-        return self._buy_fraction
-
-    @property
-    def sell_fraction(self) -> float:
-        return self._sell_fraction
+        object.__setattr__(self, "initial_cash", float(self.initial_cash))
+        object.__setattr__(self, "initial_shares", int(self.initial_shares))
+        initial_wealth = self.initial_cash + self.initial_shares * float(self.window.prices[0])
+        object.__setattr__(self, "_initial_wealth", initial_wealth)
 
     @property
     def steps_per_episode(self) -> int:
-        return len(self._window) - 1
+        return len(self.window) - 1
 
     @property
     def obs_dim(self) -> int:
-        return self._window.obs_dim
+        return self.window.obs_dim
 
     def reset(self) -> tuple[EnvState, np.ndarray]:
-        portfolio = Portfolio(self._initial_cash, self._initial_shares, self._symbol)
+        portfolio = Portfolio(self.initial_cash, self.initial_shares)
         state = EnvState(portfolio, 0, self._initial_wealth, False)
-        return state, self._window.observations[0]
+        return state, self.window.observations[0]
 
     def step(self, state: EnvState, action: Action | int) -> tuple[EnvState, np.ndarray, float, bool]:
         if state.done:
             raise ValueError("cannot step a finished episode")
         t = state.step_index
         portfolio = execute_action(
-            state.portfolio, action, float(self._window.prices[t]),
-            self._costs, self._buy_fraction, self._sell_fraction,
+            state.portfolio, action, float(self.window.prices[t]),
+            self.costs, self.buy_fraction, self.sell_fraction,
         )
         t_next = t + 1
-        marked = wealth(portfolio, float(self._window.prices[t_next]))
-        if self._reward_mode == "percentage":
+        marked = wealth(portfolio, float(self.window.prices[t_next]))
+        if self.reward_mode == "percentage":
             reward = (marked - state.wealth_prev) / state.wealth_prev
         else:
             reward = marked - state.wealth_prev
-        done = t_next == len(self._window) - 1
+        done = t_next == len(self.window) - 1
         next_state = EnvState(portfolio, t_next, marked, done)
-        return next_state, self._window.observations[t_next], reward, done
+        return next_state, self.window.observations[t_next], reward, done
 
     def roi(self, state: EnvState) -> float:
         return roi(self._initial_wealth, state.wealth_prev)

@@ -32,6 +32,8 @@ from quantrl.experiment import (
 )
 from quantrl.market_data import generate_synthetic, write_csv
 from quantrl.metrics import Fill, decode_metric
+from quantrl.neural_net import init_mlp
+from quantrl.rl_agents import Discretizer, TrainConfig, train_dqn, train_qlearning
 from quantrl.trading_env import Action
 
 from conftest import make_series
@@ -117,7 +119,7 @@ class TestConfig:
                 {"data": {"synthetic": {"kind": "gbm"}}, "agent": "dqn"}
             )
 
-    def test_hyperparameters_validated(self):
+    def test_hyperparameters_validated(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="gamma"):
             config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "gamma": 1.5})
         with pytest.raises(ConfigError, match="cost_rate"):
@@ -126,6 +128,61 @@ class TestConfig:
             for bad in (0, -0.5, 1.5, 7):
                 with pytest.raises(ConfigError, match=key):
                     config_from_dict({"data": {"csv": "x.csv"}, "agent": "sma_crossover", key: bad})
+        # TrainConfig's own messages, word for word, reported as config errors
+        path = tmp_path / "exp.json"
+        for bad in (
+            {"alpha": 0}, {"alpha": -1e-3}, {"gamma": 1.0}, {"gamma": -0.1}, {"episodes": 0},
+            {"batch_size": 0}, {"buffer_capacity": -5}, {"target_sync_period": 0},
+            {"eps_start": 1.5}, {"eps_start": 0.1, "eps_end": 0.2}, {"eps_end": -0.01},
+            {"eps_decay_fraction": 0}, {"eps_decay_fraction": 1.5},
+        ):
+            with pytest.raises(ValueError) as expected:
+                TrainConfig(**bad)
+            raw = {"data": {"csv": "x.csv"}, "agent": "dqn", **bad}
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict(raw)
+            assert str(parsed.value) == str(expected.value), bad
+            path.write_text(json.dumps(raw))
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: [config] {expected.value}\n"
+
+    def test_coercion_errors_name_the_key(self):
+        base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
+        cases = [
+            ({"hidden_sizes": 5}, "hidden_sizes: expected tuple[int, ...], got 5"),
+            ({"alpha": "fast"}, "alpha: expected float, got 'fast'"),
+            ({"episodes": float("inf")}, "episodes: expected int, got inf"),
+            ({"window": "wide"}, "window: expected int | None, got 'wide'"),
+            ({"annualization": [1]}, "annualization: expected float | None, got [1]"),
+            ({"test_end": "2020-13-01"}, "test_end: expected date, got '2020-13-01'"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": "long"}}},
+             "data.synthetic.length: expected int, got 'long'"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "base": None}}},
+             "data.synthetic.base: expected float, got None"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "start": "2020-02-30"}}},
+             "data.synthetic.start: expected date, got '2020-02-30'"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({**base, **bad})
+            assert str(info.value) == message
+
+    def test_synthetic_values_coerced(self):
+        spec = {"kind": "gbm", "length": "260", "seed": "3", "start": "2021-02-01",
+                "base": 100, "volatility": "0.2"}
+        cfg = config_from_dict({"data": {"synthetic": spec}, "agent": "dqn"})
+        synthetic = cfg.data_synthetic
+        assert (synthetic.length, synthetic.seed, synthetic.start, synthetic.base, synthetic.volatility) == (
+            260, 3, date(2021, 2, 1), 100.0, 0.2
+        )
+        # every value has its field's type, whatever JSON type it arrived as
+        assert [type(getattr(synthetic, f.name)).__name__ for f in fields(synthetic)] == [
+            f.type for f in fields(synthetic)
+        ]
+        assert len(load_bars(cfg)) == 260
+        # the echoed length is the number of bars generated
+        cfg = config_from_dict({"data": {"synthetic": {"kind": "gbm", "length": 260.9}}, "agent": "dqn"})
+        assert config_to_dict(cfg)["data"]["synthetic"]["length"] == len(load_bars(cfg)) == 260
 
     def test_null_values(self):
         base = {"data": {"csv": "x.csv"}, "agent": "qtable"}
@@ -320,6 +377,32 @@ class TestRunExperiment:
             np.array_equal(a, b) for a, b in zip(nets[0].weights, nets[1].weights)
         )
         assert all(np.array_equal(a, b) for a, b in zip(nets[0].biases, nets[1].biases))
+
+
+class TestTrainAgent:
+    @pytest.mark.parametrize("agent", ["qtable", "dqn"])
+    def test_config_trains_as_its_train_config(self, agent):
+        # train_agent hands the whole config to the training loop, which reads
+        # only TrainConfig's fields
+        cfg = sinusoid_config(
+            agent=agent, episodes=4, alpha=0.01, gamma=0.9, batch_size=8, buffer_capacity=50,
+            target_sync_period=7, eps_start=0.9, eps_end=0.1, eps_decay_fraction=0.5, seed=11,
+        )
+        window = prepare_data(cfg, load_bars(cfg)).train_window
+        artifact, history = train_agent(cfg, window)
+        train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
+        if agent == "qtable":
+            discretizer = Discretizer.uniform(window.obs_dim, cfg.state_cuts)
+            reference, reference_history = train_qlearning(make_env(cfg, window), train_cfg, discretizer)
+            assert {k: list(v) for k, v in artifact.items()} == {
+                k: list(v) for k, v in reference.items()
+            }
+        else:
+            net = init_mlp((window.obs_dim, *cfg.hidden_sizes, 3), seed=cfg.seed)
+            reference, reference_history = train_dqn(make_env(cfg, window), train_cfg, net)
+            for got, want in zip((*artifact.weights, *artifact.biases), (*reference.weights, *reference.biases)):
+                assert np.array_equal(got, want)
+        assert history == reference_history and len(history) == 4
 
 
 class TestRunPolicy:

@@ -157,6 +157,17 @@ class TestReset:
         with pytest.raises(ValueError, match="non-negative"):
             make_env([10.0, 11.0], initial_shares=-1)
 
+    def test_settings_are_read_only(self):
+        window = make_window([10.0, 11.0])
+        env = TradingEnv(window, 100, initial_shares=np.int64(2))
+        assert type(env.initial_cash) is float and type(env.initial_shares) is int
+        for name in ("window", "initial_cash", "costs", "reward_mode", "buy_fraction",
+                     "sell_fraction", "initial_shares"):
+            with pytest.raises(AttributeError):
+                setattr(env, name, getattr(env, name))
+        # equality is identity, even between envs with the same settings
+        assert env == env and env != TradingEnv(window, 100, initial_shares=np.int64(2))
+
 
 class TestStep:
     def test_hold_constant_price_zero_reward(self):
