@@ -12,7 +12,6 @@ import json
 import os
 import re
 import sys
-from datetime import date
 from pathlib import Path
 from typing import Sequence
 
@@ -32,7 +31,14 @@ from .experiment import (
     run_experiment,
     train_agent,
 )
-from .market_data import SYNTHETIC_KINDS, DataError, generate_synthetic, load_csv, write_csv
+from .market_data import (
+    SYNTHETIC_KINDS,
+    DataError,
+    generate_synthetic,
+    load_csv,
+    parse_date,
+    write_csv,
+)
 from .neural_net import load_checkpoint
 from .rl_agents import QTable
 
@@ -103,7 +109,7 @@ def cmd_synth(args: argparse.Namespace, extras: Sequence[str]) -> int:
             args.kind,
             length=args.length,
             seed=args.seed,
-            start=date.fromisoformat(args.start),
+            start=parse_date(args.start),
             symbol=args.symbol,
             base=args.base,
             amplitude=args.amplitude,

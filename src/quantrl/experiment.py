@@ -28,6 +28,7 @@ from .market_data import (
     fit_normalizer,
     generate_synthetic,
     load_csv,
+    parse_date,
     rsi,
     sma,
 )
@@ -41,7 +42,7 @@ from .metrics import (
     encode_metric,
     match_trades,
 )
-from .neural_net import Mlp, forward, init_mlp, save_checkpoint
+from .neural_net import Mlp, _row_forward, init_mlp, save_checkpoint
 from .rl_agents import (
     Discretizer,
     HistoryRow,
@@ -49,13 +50,12 @@ from .rl_agents import (
     TrainConfig,
     baseline_buy_and_hold,
     baseline_sma_crossover,
-    select_action,
     simulate,
     train_dqn,
     train_qlearning,
     write_history,
 )
-from .trading_env import Action, CostModel, MarketWindow, Portfolio, TradingEnv
+from .trading_env import Action, CostModel, MarketWindow, TradingEnv
 
 AGENT_KINDS = ("qtable", "dqn", "buy_and_hold", "sma_crossover")
 LEARNING_AGENTS = ("qtable", "dqn")
@@ -170,17 +170,45 @@ _CHOICES = {
 }
 
 
+def _as_int(raw: Any) -> int:
+    """An int from an int, an integral float or a numeric string; never a bool."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError
+    return int(raw)
+
+
+def _as_float(raw: Any) -> float:
+    """A float from a number or a numeric string; never a bool."""
+    if isinstance(raw, bool):
+        raise ValueError
+    return float(raw)
+
+
+def _as_bool(raw: Any) -> bool:
+    """JSON true/false, 0/1, or null for the default false; no string."""
+    if raw is None or (type(raw) in (bool, int) and raw in (0, 1)):
+        return bool(raw)
+    raise ValueError
+
+
+def _as_list(raw: Any) -> list | tuple:
+    """A JSON list; a string would split into characters."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError
+    return raw
+
+
 # How a raw JSON value becomes a field value, by field annotation; fields
 # whose annotation is not listed keep the raw value.
 _COERCE: dict[str, Callable[[Any], Any]] = {
-    "int": int,
-    "float": float,
-    "int | None": lambda raw: None if raw is None else int(raw),
-    "float | None": lambda raw: None if raw is None else float(raw),
-    "bool": bool,
-    "date": lambda raw: date.fromisoformat(str(raw)),
-    "tuple[int, ...]": lambda raw: tuple(int(v) for v in raw),
-    "tuple[float, ...]": lambda raw: tuple(float(v) for v in raw),
+    "int": _as_int,
+    "float": _as_float,
+    "int | None": lambda raw: None if raw is None else _as_int(raw),
+    "float | None": lambda raw: None if raw is None else _as_float(raw),
+    "bool": _as_bool,
+    "date": lambda raw: parse_date(str(raw)),
+    "tuple[int, ...]": lambda raw: tuple(_as_int(v) for v in _as_list(raw)),
+    "tuple[float, ...]": lambda raw: tuple(_as_float(v) for v in _as_list(raw)),
 }
 
 
@@ -214,7 +242,9 @@ def _echo(value: Any) -> Any:
     return value
 
 
-def _synthetic_from_dict(raw: dict) -> SyntheticSpec:
+def _synthetic_from_dict(raw: Any) -> SyntheticSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError("data.synthetic: expected an object")
     unknown = set(raw) - _SYNTHETIC_KEYS
     if unknown:
         raise ConfigError(f"unknown synthetic keys: {', '.join(sorted(unknown))}")
@@ -461,29 +491,35 @@ def train_agent(
     return train_dqn(env, cfg, net)
 
 
-def greedy_policy(cfg: ExperimentConfig, artifact: Mlp | QTable, obs_dim: int) -> Callable:
+def greedy_policy(
+    cfg: ExperimentConfig, artifact: Mlp | QTable, obs_dim: int
+) -> Callable[[np.ndarray], list[int]]:
+    """The agent's greedy action for each row of an observation matrix.
+
+    Each action is what `select_action(values, 0.0)` picks from that row's
+    action values, ties to the lowest index. The network's values come from
+    `_row_forward`, equal to per-row `forward`.
+    """
     if cfg.agent == "qtable":
         assert isinstance(artifact, QTable)
         discretizer = Discretizer.uniform(obs_dim, cfg.state_cuts)
-        return lambda obs: select_action(artifact.action_values(discretizer(obs)), 0.0)
+        return lambda obs: [int(np.argmax(artifact.action_values(discretizer(o)))) for o in obs]
     assert isinstance(artifact, Mlp)
-    return lambda obs: select_action(forward(artifact, obs), 0.0)
+    return lambda obs: np.argmax(_row_forward(artifact, obs), axis=1).tolist()
 
 
 def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fill]]:
     """One greedy episode through `simulate`: daily wealth and executed fills.
 
-    The policy acts at every close but the last, where the episode ends.
+    `policy` maps an observation matrix to one action per row. It is applied
+    once, to the observations of every close but the last, where the episode
+    ends with Hold; a TradingEnv's observations do not depend on the actions.
     """
     window = env.window
-    last = len(window) - 1
-
-    def decide(t: int, portfolio: Portfolio) -> Action:
-        return policy(window.observations[t]) if t < last else Action.HOLD
-
+    actions = [*policy(window.observations[:-1]), Action.HOLD]
     state, _ = env.reset()
     return simulate(
-        window.prices, window.dates, state.portfolio, decide,
+        window.prices, window.dates, state.portfolio, lambda t, portfolio: actions[t],
         env.costs, env.buy_fraction, env.sell_fraction,
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -25,6 +26,21 @@ NormalizationMode = Literal["unit_range", "signed_range"]
 
 class DataError(ValueError):
     """Input market data violates the ingest contract."""
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def parse_date(text: str) -> date:
+    """A date written YYYY-MM-DD.
+
+    `date.fromisoformat` also takes forms such as 20200106 and 2020-W02-2
+    from Python 3.11 on; those are rejected here on every Python, so an
+    input parses the same everywhere.
+    """
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return date.fromisoformat(text)
 
 
 @dataclass(frozen=True)
@@ -173,7 +189,7 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
                 f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            day = date.fromisoformat(row[0].strip())
+            day = parse_date(row[0].strip())
             o, h, l, c = (float(row[i]) for i in range(1, 5))
             adj = float(row[5]) if has_adj else c
             vol = float(row[6] if has_adj else row[5])

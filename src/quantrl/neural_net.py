@@ -60,20 +60,45 @@ def _forward_full(net: Mlp, inputs: np.ndarray) -> tuple[list[np.ndarray], list[
     return zs, activations
 
 
+def _check_width(net: Mlp, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
+        raise ValueError(
+            f"input width {x.shape[-1] if x.ndim else 0} does not match "
+            f"first layer size {net.layer_sizes[0]}"
+        )
+
+
 def forward(net: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on one vector or a batch of row vectors."""
     x = np.asarray(inputs, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != net.layer_sizes[0]:
-        raise ValueError(
-            f"input width {x.shape[-1] if x.ndim else 0} does not match "
-            f"first layer size {net.layer_sizes[0]}"
-        )
+    _check_width(net, x)
     _, activations = _forward_full(net, x)
     out = activations[-1]
     return out[0] if single else out
+
+
+# Rows per stacked product in _row_forward; bounds its temporaries' memory.
+_ROW_BLOCK = 1024
+
+
+def _row_forward(net: Mlp, inputs: np.ndarray) -> np.ndarray:
+    """`forward` of each row of a matrix, stacked: row i is forward(net, inputs[i]).
+
+    A 2-D batch product may sum in another order than a single row's, so its
+    rows can differ from per-row `forward` in the last bits. Here each layer
+    is a stacked (n, 1, d) @ (d, k) product, which numpy evaluates as n
+    separate 1 x d products, the product `forward` computes for one vector.
+    """
+    x = np.asarray(inputs, dtype=float)
+    _check_width(net, x)
+    out = np.empty((len(x), net.layer_sizes[-1]))
+    for start in range(0, len(x), _ROW_BLOCK):
+        rows = x[start : start + _ROW_BLOCK, None, :]
+        out[start : start + _ROW_BLOCK] = _forward_full(net, rows)[1][-1][:, 0]
+    return out
 
 
 def _as_batch(arr: np.ndarray) -> np.ndarray:

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantrl.cli import main
 from quantrl.experiment import (
+    AGENT_KINDS,
     CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
@@ -19,6 +21,7 @@ from quantrl.experiment import (
     config_from_dict,
     config_to_dict,
     emit_report,
+    greedy_policy,
     load_bars,
     load_metrics_document,
     make_env,
@@ -32,8 +35,16 @@ from quantrl.experiment import (
 )
 from quantrl.market_data import generate_synthetic, write_csv
 from quantrl.metrics import Fill, decode_metric
-from quantrl.neural_net import init_mlp
-from quantrl.rl_agents import Discretizer, TrainConfig, train_dqn, train_qlearning
+from quantrl.neural_net import _row_forward, forward, init_mlp
+from quantrl.rl_agents import (
+    Discretizer,
+    QTable,
+    TrainConfig,
+    q_update,
+    select_action,
+    train_dqn,
+    train_qlearning,
+)
 from quantrl.trading_env import Action
 
 from conftest import make_series
@@ -64,6 +75,73 @@ def sinusoid_config(agent="buy_and_hold", length=120, train_days=80, **extra):
     }
     raw.update(extra)
     return config_from_dict(raw)
+
+
+def _int_forms(values):
+    """An int strategy whose draws may arrive as an int, an integral float or a string."""
+    return values.flatmap(lambda v: st.sampled_from([v, float(v), str(v)]))
+
+
+def _floats(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def valid_raw_configs(draw):
+    """A raw config mapping that config_from_dict accepts."""
+    floats = ("base", "amplitude", "period_days", "drift", "volatility", "volume")
+    synthetic = st.fixed_dictionaries(
+        {
+            "kind": st.sampled_from(["sinusoid", "trend", "gbm"]),
+            "length": _int_forms(st.integers(2, 10**6)),
+        },
+        optional={
+            "seed": _int_forms(st.integers(0, 2**32)),
+            "start": st.dates().map(date.isoformat),
+            **{key: _floats(-1e6, 1e6) for key in floats},
+        },
+    )
+    data = st.one_of(st.just({"csv": "data/prices.csv"}), synthetic.map(lambda s: {"synthetic": s}))
+    raw = {"data": draw(data), "agent": draw(st.sampled_from(AGENT_KINDS))}
+    if draw(st.booleans()):
+        days = sorted(draw(st.lists(st.dates(), min_size=4, max_size=4, unique=True)))
+        keys = ("train_start", "train_end", "test_start", "test_end")
+        raw.update({key: day.isoformat() for key, day in zip(keys, days)})
+    eps = sorted(draw(st.lists(_floats(0.0, 1.0), min_size=2, max_size=2)))
+    cuts = st.lists(_floats(-10.0, 10.0), min_size=1, max_size=4, unique=True).map(sorted)
+    fast = draw(st.integers(1, 30))
+    raw.update({"eps_end": eps[0], "eps_start": eps[1], "fast_period": fast})
+    raw["slow_period"] = fast + draw(st.integers(1, 30))
+    raw.update(draw(st.fixed_dictionaries({}, optional={
+        "symbol": st.one_of(st.none(), st.text(max_size=8)),
+        "window": st.one_of(st.none(), _int_forms(st.integers(1, 60))),
+        "use_indicators": st.one_of(st.none(), st.booleans(), st.sampled_from([0, 1])),
+        "sma_period": _int_forms(st.integers(1, 60)),
+        "rsi_period": _int_forms(st.integers(1, 60)),
+        "normalization": st.sampled_from(["unit_range", "signed_range"]),
+        "return_field": st.sampled_from(["close", "adj_close"]),
+        "initial_cash": _floats(1e-3, 1e12),
+        "initial_shares": _int_forms(st.integers(0, 10**6)),
+        "cost_rate": _floats(0.0, 0.99),
+        "reward_mode": st.sampled_from(["percentage", "absolute"]),
+        "buy_fraction": _floats(0.0, 1.0, exclude_min=True),
+        "sell_fraction": _floats(0.0, 1.0, exclude_min=True),
+        "alpha": _floats(1e-9, 10.0),
+        "gamma": _floats(0.0, 0.999),
+        "episodes": _int_forms(st.integers(1, 10**4)),
+        "batch_size": _int_forms(st.integers(1, 10**4)),
+        "buffer_capacity": _int_forms(st.integers(1, 10**6)),
+        "target_sync_period": _int_forms(st.integers(1, 10**4)),
+        "eps_decay_fraction": _floats(0.0, 1.0, exclude_min=True),
+        "hidden_sizes": st.lists(_int_forms(st.integers(1, 64)), min_size=1, max_size=3),
+        "state_cuts": cuts,
+        "risk_free_rate": _floats(-0.01, 0.01),
+        "annualization": st.one_of(st.none(), _floats(1e-3, 1e3)),
+        "holding_day_count": st.sampled_from(["calendar", "trading"]),
+        "seed": _int_forms(st.integers(0, 2**32)),
+        "out_dir": st.one_of(st.none(), st.text(min_size=1, max_size=8)),
+    })))
+    return raw
 
 
 class TestConfig:
@@ -161,6 +239,26 @@ class TestConfig:
              "data.synthetic.base: expected float, got None"),
             ({"data": {"synthetic": {"kind": "gbm", "length": 9, "start": "2020-02-30"}}},
              "data.synthetic.start: expected date, got '2020-02-30'"),
+            # values that used to coerce to a wrong answer without a word
+            ({"use_indicators": "false"}, "use_indicators: expected bool, got 'false'"),
+            ({"use_indicators": 2}, "use_indicators: expected bool, got 2"),
+            ({"use_indicators": 1.0}, "use_indicators: expected bool, got 1.0"),
+            ({"episodes": 3.7}, "episodes: expected int, got 3.7"),
+            ({"episodes": True}, "episodes: expected int, got True"),
+            ({"window": 2.5}, "window: expected int | None, got 2.5"),
+            ({"cost_rate": False}, "cost_rate: expected float, got False"),
+            ({"annualization": True}, "annualization: expected float | None, got True"),
+            ({"hidden_sizes": [32.5]}, "hidden_sizes: expected tuple[int, ...], got [32.5]"),
+            ({"hidden_sizes": "32"}, "hidden_sizes: expected tuple[int, ...], got '32'"),
+            ({"state_cuts": [True]}, "state_cuts: expected tuple[float, ...], got [True]"),
+            ({"train_start": "20200106"}, "train_start: expected date, got '20200106'"),
+            ({"test_end": "2020-W02-2"}, "test_end: expected date, got '2020-W02-2'"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "seed": True}}},
+             "data.synthetic.seed: expected int, got True"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "base": False}}},
+             "data.synthetic.base: expected float, got False"),
+            ({"data": {"synthetic": 5}}, "data.synthetic: expected an object"),
+            ({"data": {"synthetic": ["kind"]}}, "data.synthetic: expected an object"),
         ]
         for bad, message in cases:
             with pytest.raises(ConfigError) as info:
@@ -180,9 +278,23 @@ class TestConfig:
             f.type for f in fields(synthetic)
         ]
         assert len(load_bars(cfg)) == 260
-        # the echoed length is the number of bars generated
-        cfg = config_from_dict({"data": {"synthetic": {"kind": "gbm", "length": 260.9}}, "agent": "dqn"})
+        # the echoed length is the number of bars generated; a fractional one is rejected
+        synthetic = {"kind": "gbm", "length": 260.0}
+        cfg = config_from_dict({"data": {"synthetic": synthetic}, "agent": "dqn"})
         assert config_to_dict(cfg)["data"]["synthetic"]["length"] == len(load_bars(cfg)) == 260
+        message = "data.synthetic.length: expected int, got 260.9"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict({"data": {"synthetic": {**synthetic, "length": 260.9}}, "agent": "dqn"})
+
+    def test_integral_and_boolean_forms_accepted(self):
+        base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
+        integral = {"episodes": 3.0, "window": 4.0, "hidden_sizes": [8.0, "4"]}
+        cfg = config_from_dict({**base, **integral, "use_indicators": 1})
+        assert (cfg.episodes, cfg.window, cfg.hidden_sizes) == (3, 4, (8, 4))
+        assert cfg.use_indicators is True
+        assert type(cfg.episodes) is int and type(cfg.window) is int
+        assert config_from_dict({**base, "use_indicators": True}).use_indicators is True
+        assert config_from_dict({**base, "use_indicators": False}).use_indicators is False
 
     def test_null_values(self):
         base = {"data": {"csv": "x.csv"}, "agent": "qtable"}
@@ -244,6 +356,12 @@ class TestConfig:
         cfg = sinusoid_config()
         echoed = config_from_dict(config_to_dict(cfg))
         assert echoed == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_raw_configs())
+    def test_echo_round_trips_through_json(self, raw):
+        cfg = config_from_dict(raw)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_initial_shares_and_day_count(self):
         cfg = sinusoid_config(initial_shares=10, holding_day_count="trading")
@@ -432,10 +550,69 @@ class TestRunPolicy:
             values.append(state.portfolio.cash + state.portfolio.shares * price)
         values.append(state.wealth_prev)
 
-        curve, got = run_policy(env, policy)
+        curve, got = run_policy(env, lambda X: [policy(o) for o in X])
         assert curve.values.tolist() == values
         assert got == fills
         assert {f.side for f in fills} == {"buy", "sell"}
+
+
+DQN_CONFIG = config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn"})
+
+
+class TestGreedyPolicy:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        width=st.integers(1, 16),
+        rows=st.sampled_from([1, 2, 1023, 1024, 1025, 2049]),
+        scale=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dqn_rows_equal_per_row_forward(self, hidden, width, rows, scale, seed):
+        # the row kernel equals forward on each row bit for bit on the machine
+        # the test runs on, and the actions are select_action's at epsilon 0
+        rng = np.random.default_rng(seed)
+        net = init_mlp((width, *hidden, 3), seed=rng)
+        for b in net.biases:
+            b[:] = rng.uniform(0.1, 1.0, b.shape) * rng.choice([-1.0, 1.0], b.shape) * scale
+        obs = rng.normal(size=(rows, width)) * scale
+        per_row = np.stack([forward(net, x) for x in obs])
+        got = _row_forward(net, obs)
+        assert got.dtype == per_row.dtype and got.shape == per_row.shape
+        assert got.tobytes() == per_row.tobytes()
+        policy = greedy_policy(DQN_CONFIG, net, width)
+        assert policy(obs) == [select_action(q, 0.0) for q in per_row]
+
+    @pytest.mark.parametrize("bias, action", [([1.0, 1.0, 0.0], 0), ([0.0, 2.0, 2.0], 1)])
+    def test_dqn_ties_break_to_lowest_action(self, bias, action):
+        net = init_mlp((4, 5, 3), seed=0)
+        net.weights[-1][:] = 0.0
+        net.biases[-1][:] = bias
+        policy = greedy_policy(DQN_CONFIG, net, 4)
+        assert policy(np.random.default_rng(0).normal(size=(6, 4))) == [action] * 6
+
+    def test_row_kernel_checks_width(self):
+        net = init_mlp((4, 5, 3), seed=0)
+        with pytest.raises(ValueError, match="input width 5 does not match first layer size 4"):
+            _row_forward(net, np.ones((3, 5)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 4), rows=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+    def test_qtable_actions_equal_select_action(self, width, rows, seed):
+        # observations on and between the cuts, repeated rows and tied values included
+        rng = np.random.default_rng(seed)
+        cuts = (-0.5, 0.0, 0.5)
+        obs = rng.choice([-1.0, -0.5, -0.2, 0.0, 0.3, 0.5, 0.9], size=(rows, width))
+        table = QTable()
+        reference = Discretizer.uniform(width, cuts)
+        for row in obs[: rows // 2]:
+            key = reference(row)
+            for action in range(3):
+                value = float(rng.choice([-1.0, 0.0, 1.0]))
+                q_update(table, key, action, value, key, True, alpha=1.0, gamma=0.0)
+        cfg = config_from_dict({"data": {"csv": "x.csv"}, "agent": "qtable", "state_cuts": cuts})
+        policy = greedy_policy(cfg, table, width)
+        assert policy(obs) == [select_action(table.action_values(reference(o)), 0.0) for o in obs]
 
 
 class TestEmitReport:

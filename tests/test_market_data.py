@@ -15,6 +15,7 @@ from quantrl.market_data import (
     fit_normalizer,
     generate_synthetic,
     load_csv,
+    parse_date,
     rsi,
     sma,
     write_csv,
@@ -106,6 +107,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="expected 7 fields"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["20200106", "2020-W02-2", "2020-1-06", "2020-01-06T00:00"])
+    def test_dates_are_yyyy_mm_dd(self, tmp_path, text):
+        # forms some Python versions' date.fromisoformat accept are rejected on all
+        rows = ["2020-01-03,10,11,9,10.5,10.4,1000", f"{text},10,11,9,10.5,10.4,1000"]
+        path = self.write(tmp_path, rows)
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: Invalid isoformat string: {text!r}"
+
     def test_unparsable_number(self, tmp_path):
         path = self.write(tmp_path, ["2020-01-01,10,11,9,oops,10.4,1000"])
         with pytest.raises(DataError, match="line|oops|could not convert"):
@@ -192,6 +202,21 @@ class TestLoadCsvProperties:
         except DataError:
             return
         assert len(bars) >= 1
+
+
+class TestParseDate:
+    @given(st.dates())
+    def test_iso_form_round_trips(self, day):
+        assert parse_date(day.isoformat()) == day
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789-WT:Z+ ", max_size=12))
+    def test_only_the_iso_form_parses(self, text):
+        try:
+            day = parse_date(text)
+        except ValueError:
+            return
+        assert day.isoformat() == text
 
 
 class TestDailyReturns:
