@@ -97,7 +97,7 @@ def cmd_ingest(args: argparse.Namespace, extras: Sequence[str]) -> int:
         bars = load_csv(args.csv)
     except (DataError, OSError) as exc:
         raise ExperimentError("ingest", str(exc)) from None
-    first, last = bars.bars[0].date, bars.bars[-1].date
+    first, last = bars.dates()[0], bars.dates()[-1]
     print(f"ok: {len(bars)} bars of {bars.symbol} from {first} to {last}")
     return 0
 

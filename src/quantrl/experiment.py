@@ -177,11 +177,17 @@ def _as_int(raw: Any) -> int:
     return int(raw)
 
 
+class _Expected(ValueError):
+    """A coercion failure reported as `<key>: expected <args[0]>, got <args[1]!r>`."""
+
+
 def _as_float(raw: Any) -> float:
-    """A float from a number or a numeric string; never a bool."""
+    """A finite float from a number or a numeric string; never a bool."""
     if isinstance(raw, bool):
         raise ValueError
-    return float(raw)
+    if not math.isfinite(value := float(raw)):
+        raise _Expected("a finite number", raw)
+    return value
 
 
 def _as_bool(raw: Any) -> bool:
@@ -227,8 +233,9 @@ def _field_values(specs: Sequence[Field], raw: dict, prefix: str = "") -> dict[s
         if coerce is not None:
             try:
                 value = coerce(value)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{prefix}{f.name}: expected {f.type}, got {value!r}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                expected, got = exc.args if isinstance(exc, _Expected) else (f.type, value)
+                raise ConfigError(f"{prefix}{f.name}: expected {expected}, got {got!r}") from None
         values[f.name] = value
     return values
 
@@ -293,6 +300,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         "data_synthetic": _synthetic_from_dict(data["synthetic"]) if "synthetic" in data else None,
         **_field_values(_KEY_FIELDS, raw),
     }
+    if not isinstance(values.get("out_dir"), (str, type(None))):
+        raise ConfigError(f"out_dir: expected a string, got {values['out_dir']!r}")
     # Cross-field defaults: a missing or null key takes the derived value.
     values["symbol"] = str(values.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH"))
     if values.get("window") is None:
@@ -406,12 +415,9 @@ def build_window(
     only; context days are never tradable). Without enough history the
     window starts later, once every feature is defined.
     """
-    context_bars = context.bars if context is not None else ()
-    if context_bars and context_bars[-1].date >= bars.bars[0].date:
-        raise ValueError("context must end strictly before the target window")
-    all_bars = BarSeries(bars.symbol, context_bars + bars.bars)
+    all_bars = bars if context is None else bars._after(context)
     total = len(all_bars)
-    first_tradable = max(len(context_bars), _context_length(cfg))
+    first_tradable = max(total - len(bars), _context_length(cfg))
     if first_tradable > total - 2:
         raise ValueError("window too short after feature warm-up")
     returns = daily_returns(all_bars, cfg.return_field)

@@ -9,10 +9,12 @@ from __future__ import annotations
 import csv
 import math
 import re
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -43,6 +45,9 @@ def parse_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
+_FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
+
+
 @dataclass(frozen=True)
 class Bar:
     """One day of OHLCV data. Prices strictly positive, volume non-negative."""
@@ -66,34 +71,62 @@ class Bar:
             raise DataError(f"{self.date}: negative volume {self.volume}")
 
 
-@dataclass(frozen=True)
 class BarSeries:
-    """Ordered daily bars for one symbol, dates strictly increasing."""
+    """Ordered daily bars for one symbol, dates strictly increasing.
 
-    symbol: str
-    bars: tuple[Bar, ...]
+    Columnar and read-only: a dates tuple and one (n, 6) float64 block in
+    _FIELDS order. Iterating, or `.bars`, gives `Bar` row views.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bars", tuple(self.bars))
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date <= prev.date:
-                raise DataError(
-                    f"dates not strictly increasing: {prev.date} then {cur.date}"
-                )
+    __slots__ = ("symbol", "_dates", "_block")
+
+    def __new__(cls, symbol: str, bars: Iterable[Bar]) -> "BarSeries":
+        bars = tuple(bars)
+        dates = tuple(b.date for b in bars)
+        _check_increasing(dates)
+        rows = [[getattr(b, name) for name in _FIELDS] for b in bars]
+        return cls._from_columns(symbol, dates, np.array(rows, dtype=float).reshape(-1, 6))
+
+    @classmethod
+    def _from_columns(cls, symbol: str, dates: tuple[date, ...], block: np.ndarray) -> "BarSeries":
+        """A series over already validated columns; `block` becomes read-only."""
+        series = super().__new__(cls)
+        block.flags.writeable = False
+        for name, value in (("symbol", symbol), ("_dates", dates), ("_block", block)):
+            object.__setattr__(series, name, value)
+        return series
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"BarSeries is read-only; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BarSeries):
+            return NotImplemented
+        same_rows = np.array_equal(self._block, other._block)
+        return same_rows and (self.symbol, self._dates) == (other.symbol, other._dates)
+
+    def __hash__(self) -> int:
+        return hash((self.symbol, self._dates))
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return len(self._dates)
 
-    def __iter__(self):
-        return iter(self.bars)
+    def __iter__(self) -> Iterator[Bar]:
+        return (Bar(d, *row) for d, row in zip(self._dates, self._block.tolist()))
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        return tuple(self)
 
     def dates(self) -> tuple[date, ...]:
-        return tuple(b.date for b in self.bars)
+        return self._dates
 
     def field_values(self, field: str = "close") -> np.ndarray:
-        if field not in ("open", "high", "low", "close", "adj_close", "volume"):
+        if field not in _FIELDS:
             raise ValueError(f"unknown bar field {field!r}")
-        return np.array([getattr(b, field) for b in self.bars], dtype=float)
+        return self._block[:, _FIELDS.index(field)].copy()
 
     def closes(self) -> np.ndarray:
         return self.field_values("close")
@@ -103,11 +136,34 @@ class BarSeries:
 
     def slice_dates(self, start: date, end: date) -> "BarSeries":
         """Bars with start <= date <= end, preserving order."""
-        kept = tuple(b for b in self.bars if start <= b.date <= end)
-        return BarSeries(self.symbol, kept)
+        kept = slice(bisect_left(self._dates, start), bisect_right(self._dates, end))
+        return self._from_columns(self.symbol, self._dates[kept], self._block[kept])
 
     def tail(self, count: int) -> "BarSeries":
-        return BarSeries(self.symbol, self.bars[-count:] if count > 0 else ())
+        kept = slice(-count, None) if count > 0 else slice(0)
+        return self._from_columns(self.symbol, self._dates[kept], self._block[kept])
+
+    def _after(self, context: "BarSeries") -> "BarSeries":
+        """`context` followed by these bars; context must end before they start."""
+        if context._dates and context._dates[-1] >= self._dates[0]:
+            raise ValueError("context must end strictly before the target window")
+        block = np.concatenate([context._block, self._block])
+        return self._from_columns(self.symbol, context._dates + self._dates, block)
+
+
+def _check_increasing(dates: Sequence[date]) -> None:
+    for prev, cur in zip(dates, dates[1:]):
+        if cur <= prev:
+            raise DataError(f"dates not strictly increasing: {prev} then {cur}")
+
+
+def _check_rows(dates: Sequence[date], block: np.ndarray) -> None:
+    """Raise the DataError `Bar` raises for the first row it rejects, if any."""
+    o, h, l, c, _, volume = block.T
+    ok = np.isfinite(block).all(axis=1) & (block[:, :5] > 0).all(axis=1) & (volume >= 0)
+    ok &= (l <= o) & (o <= h) & (l <= c) & (c <= h)
+    for i in np.flatnonzero(~ok):
+        Bar(dates[i], *block[i].tolist())
 
 
 @dataclass(frozen=True)
@@ -174,39 +230,41 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
     header = tuple(cell.strip() for cell in header)
-    if header == CSV_COLUMNS:
-        has_adj = True
-    elif header == CSV_COLUMNS_NO_ADJ:
-        has_adj = False
-    else:
+    if header not in (CSV_COLUMNS, CSV_COLUMNS_NO_ADJ):
         raise DataError(f"{path}: unexpected header {','.join(header)!r}")
-    bars: list[Bar] = []
+    has_adj = header == CSV_COLUMNS
+    # One pass parses rows into a flat buffer, validated as columns after it.
+    # The first bad row still wins, a validation error over a later parse error.
+    dates: list[date] = []
+    values = array("d")
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
         try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             day = parse_date(row[0].strip())
-            o, h, l, c = (float(row[i]) for i in range(1, 5))
-            adj = float(row[5]) if has_adj else c
-            vol = float(row[6] if has_adj else row[5])
+            numbers = [float(cell) for cell in row[1:]]
         except ValueError as exc:
+            _check_rows(dates, np.frombuffer(values).reshape(-1, len(_FIELDS)))
             raise DataError(f"{path}:{lineno}: {exc}") from None
-        bars.append(Bar(day, o, h, l, c, adj, vol))
-    if not bars:
+        if not has_adj:
+            numbers.insert(4, numbers[3])
+        dates.append(day)
+        values.extend(numbers)
+    if not dates:
         raise DataError(f"{path}: no data rows")
-    return BarSeries(symbol or path.stem, tuple(bars))
+    block = np.frombuffer(values).reshape(-1, len(_FIELDS))
+    _check_rows(dates, block)
+    _check_increasing(dates)
+    return BarSeries._from_columns(symbol or path.stem, tuple(dates), block)
 
 
 def write_csv(bars: BarSeries, path: str | Path) -> None:
     """Write bars in the same CSV layout load_csv accepts, round-trip exact."""
     lines = [",".join(CSV_COLUMNS)]
-    for b in bars:
-        fields = (b.open, b.high, b.low, b.close, b.adj_close, b.volume)
-        lines.append(b.date.isoformat() + "," + ",".join(repr(float(v)) for v in fields))
+    for day, row in zip(bars.dates(), bars._block):
+        lines.append(day.isoformat() + "," + ",".join(map(repr, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -268,15 +326,14 @@ def rsi(closes: Sequence[float] | np.ndarray, period: int = 14) -> np.ndarray:
     deltas = np.diff(values)
     gains = np.where(deltas > 0, deltas, 0.0)
     losses = np.where(deltas < 0, -deltas, 0.0)
-    out = np.empty(deltas.size - period + 1)
     avg_gain = float(gains[:period].mean())
     avg_loss = float(losses[:period].mean())
-    out[0] = _rsi_point(avg_gain, avg_loss)
-    for i in range(period, deltas.size):
-        avg_gain = (avg_gain * (period - 1) + gains[i]) / period
-        avg_loss = (avg_loss * (period - 1) + losses[i]) / period
-        out[i - period + 1] = _rsi_point(avg_gain, avg_loss)
-    return out
+    out = [_rsi_point(avg_gain, avg_loss)]
+    for gain, loss in zip(gains[period:].tolist(), losses[period:].tolist()):
+        avg_gain = (avg_gain * (period - 1) + gain) / period
+        avg_loss = (avg_loss * (period - 1) + loss) / period
+        out.append(_rsi_point(avg_gain, avg_loss))
+    return np.array(out)
 
 
 def build_observations(
@@ -370,8 +427,7 @@ def generate_synthetic(
             length - 1
         )
         closes = base * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-    bars = tuple(
-        Bar(day, c, c, c, c, c, volume)
-        for day, c in zip(_weekday_grid(start, length), (float(v) for v in closes))
-    )
-    return BarSeries(symbol, bars)
+    dates = _weekday_grid(start, length)
+    block = np.column_stack([closes] * 5 + [np.full(length, volume, dtype=float)])
+    _check_rows(dates, block)
+    return BarSeries._from_columns(symbol, dates, block)

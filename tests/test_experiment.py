@@ -17,6 +17,7 @@ from quantrl.experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentError,
+    build_window,
     compare_strategies,
     config_from_dict,
     config_to_dict,
@@ -265,6 +266,57 @@ class TestConfig:
                 config_from_dict({**base, **bad})
             assert str(info.value) == message
 
+    def test_non_finite_floats_rejected(self, tmp_path, capsys):
+        # NaN passed every range check and reached the report ("sharpe": NaN);
+        # inf passed the positivity checks
+        base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
+        cases = [
+            ({"annualization": float("nan")}, "annualization: expected a finite number, got nan"),
+            ({"risk_free_rate": float("nan")}, "risk_free_rate: expected a finite number, got nan"),
+            ({"initial_cash": float("inf")}, "initial_cash: expected a finite number, got inf"),
+            ({"cost_rate": float("-inf")}, "cost_rate: expected a finite number, got -inf"),
+            ({"alpha": "nan"}, "alpha: expected a finite number, got 'nan'"),
+            ({"state_cuts": [float("nan")]}, "state_cuts: expected a finite number, got nan"),
+            ({"state_cuts": [-1.0, "inf"]}, "state_cuts: expected a finite number, got 'inf'"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "base": float("nan")}}},
+             "data.synthetic.base: expected a finite number, got nan"),
+            ({"data": {"synthetic": {"kind": "gbm", "length": 9, "volume": float("inf")}}},
+             "data.synthetic.volume: expected a finite number, got inf"),
+        ]
+        path = tmp_path / "exp.json"
+        for bad, message in cases:
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({**base, **bad})
+            assert str(info.value) == message
+            # Python's json reads and writes NaN and Infinity literals
+            path.write_text(json.dumps({**base, **bad}))
+            assert main(["run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: [config] {message}\n"
+        assert config_from_dict({**base, "risk_free_rate": "1e-300"}).risk_free_rate == 1e-300
+
+    def test_out_dir_is_a_string_or_null(self, tmp_path, capsys, monkeypatch):
+        base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
+        assert config_from_dict({**base, "out_dir": "runs/a"}).out_dir == "runs/a"
+        assert config_from_dict({**base, "out_dir": None}).out_dir is None
+        for bad in (5, 0, False, ["runs"], {"dir": "runs"}):
+            message = f"out_dir: expected a string, got {bad!r}"
+            with pytest.raises(ConfigError) as info:
+                config_from_dict({**base, "out_dir": bad})
+            assert str(info.value) == message
+        # without --out, `run` used to die in Path(5) with a traceback
+        csv = tmp_path / "sine.csv"
+        write_csv(generate_synthetic("sinusoid", length=40), csv)
+        dates = synthetic_dates(length=40)
+        raw = {"data": {"csv": str(csv)}, "agent": "buy_and_hold", "out_dir": 5,
+               "train_start": dates[0].isoformat(), "train_end": dates[19].isoformat(),
+               "test_start": dates[20].isoformat(), "test_end": dates[-1].isoformat()}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: [config] out_dir: expected a string, got 5\n"
+        assert not (tmp_path / "runs").exists()
+
     def test_synthetic_values_coerced(self):
         spec = {"kind": "gbm", "length": "260", "seed": "3", "start": "2021-02-01",
                 "base": 100, "volatility": "0.2"}
@@ -413,6 +465,21 @@ class TestPreparedWindows:
         # RSI column is scaled into [0, 1]
         rsi_column = prepared.train_window.observations[:, -1]
         assert np.all((rsi_column >= 0.0) & (rsi_column <= 1.0))
+
+    def test_context_must_precede_window(self):
+        cfg = sinusoid_config(agent="dqn")
+        bars = load_bars(cfg)
+        train_bars, normalizer, _ = prepare_train(cfg, bars)
+        test_bars = bars.slice_dates(cfg.test_start, cfg.test_end)
+        with pytest.raises(ValueError, match="context must end strictly before the target window"):
+            # ends on the window's first day
+            build_window(test_bars, normalizer, cfg,
+                         context=bars.slice_dates(train_bars.dates()[-3], test_bars.dates()[0]))
+        with pytest.raises(ValueError, match="context must end strictly before the target window"):
+            build_window(test_bars, normalizer, cfg, context=test_bars.tail(5))
+        # context days warm the features up and are never tradable
+        window = build_window(test_bars, normalizer, cfg, context=train_bars.tail(cfg.window))
+        assert window.dates == test_bars.dates()
 
     def test_normalizer_fitted_on_train_only(self):
         cfg = sinusoid_config(agent="dqn")

@@ -1,10 +1,13 @@
-from datetime import date
+import csv
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quantrl.market_data import (
+    CSV_COLUMNS,
+    CSV_COLUMNS_NO_ADJ,
     Bar,
     BarSeries,
     DataError,
@@ -25,8 +28,6 @@ from conftest import make_series
 
 
 def returns_of(values, start=date(2020, 1, 2)):
-    from datetime import timedelta
-
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
     return ReturnSeries(dates, np.asarray(values, dtype=float))
 
@@ -63,6 +64,86 @@ class TestBarValidation:
         bars = make_series([10.0, 11.0]).bars
         with pytest.raises(DataError, match="strictly increasing"):
             BarSeries("X", (bars[1], bars[0]))
+
+
+FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
+
+
+def columns(series):
+    """A series' dates and its six value columns as one byte string."""
+    return series.dates(), np.column_stack([series.field_values(f) for f in FIELDS]).tobytes()
+
+
+def series_on(days, symbol="X"):
+    """A series with distinct open/high/low/close/adj_close/volume on the given dates."""
+    return BarSeries(symbol, [Bar(d, 2.0 + i, 3.0 + i, 1.0 + i, 2.5 + i, 2.4 + i, 10.0 * i)
+                              for i, d in enumerate(days)])
+
+
+DAYS = st.dates(min_value=date(1990, 1, 1), max_value=date(2030, 12, 31))
+
+
+class TestBarSeries:
+    def test_bars_are_row_views(self):
+        days = [date(2020, 1, 1), date(2020, 1, 3), date(2020, 1, 6)]
+        series = series_on(days)
+        assert series.bars == tuple(series) == (
+            Bar(days[0], 2.0, 3.0, 1.0, 2.5, 2.4, 0.0),
+            Bar(days[1], 3.0, 4.0, 2.0, 3.5, 3.4, 10.0),
+            Bar(days[2], 4.0, 5.0, 3.0, 4.5, 4.4, 20.0),
+        )
+        assert series.dates() == tuple(days)
+        assert series.closes().tolist() == [2.5, 3.5, 4.5]
+        assert series.volumes().tolist() == [0.0, 10.0, 20.0]
+        assert series.field_values("adj_close").tolist() == [2.4, 3.4, 4.4]
+        with pytest.raises(ValueError, match="unknown bar field"):
+            series.field_values("date")
+
+    def test_read_only(self):
+        series = series_on([date(2020, 1, 1), date(2020, 1, 2)])
+        for name in ("symbol", "bars", "_dates", "_block", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(series, name, None)
+            with pytest.raises(AttributeError):
+                delattr(series, name)
+        # column reads are copies; the block behind the series and its slices is frozen
+        for column in (series.closes(), series.volumes(), series.field_values("open")):
+            column[:] = -1.0
+        assert series == series_on([date(2020, 1, 1), date(2020, 1, 2)])
+        for view in (series, series.tail(1), series.slice_dates(date.min, date.max)):
+            with pytest.raises(ValueError, match="read-only"):
+                view._block[0, 0] = 99.0
+
+    def test_value_equality(self, tmp_path):
+        a = generate_synthetic("gbm", length=30, seed=5, volatility=0.4)
+        path = tmp_path / "a.csv"
+        write_csv(a, path)
+        b = load_csv(path, symbol=a.symbol)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a == BarSeries(a.symbol, a.bars) == BarSeries(a.symbol, iter(a))
+        assert a.slice_dates(date.min, date.max) == a == a.tail(30) == a.tail(31)
+        assert a != load_csv(path)  # symbol "a"
+        assert a != a.tail(29)
+        bars = list(a.bars)
+        b7 = bars[7]
+        bars[7] = Bar(b7.date, b7.open, b7.high, b7.low, b7.close, b7.adj_close, b7.volume + 1.0)
+        assert a != BarSeries(a.symbol, bars)
+        assert a != a.bars and a != "SYNTH"
+        assert BarSeries("SYNTH", ()) == BarSeries("SYNTH", []) == a.slice_dates(date.max, date.min)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(DAYS, max_size=25, unique=True).map(sorted), st.data())
+    def test_slice_dates_is_the_date_filter(self, days, data):
+        series = series_on(days)
+        near = [d + timedelta(days=k) for d in days for k in (-1, 0, 1)]
+        bound = st.one_of(st.sampled_from(near), DAYS) if near else DAYS
+        start, end = data.draw(bound), data.draw(bound)
+        kept = [b for b in series.bars if start <= b.date <= end]
+        sliced = series.slice_dates(start, end)
+        assert sliced == BarSeries("X", kept)
+        assert columns(sliced) == columns(BarSeries("X", kept))
+        count = data.draw(st.integers(-2, len(days) + 2))
+        assert series.tail(count) == BarSeries("X", series.bars[-count:] if count > 0 else ())
 
 
 class TestLoadCsv:
@@ -191,6 +272,79 @@ def mutated_csv(draw):
     return data
 
 
+@st.composite
+def price_csv(draw):
+    """A CSV of up to 40 rows drawn as valid OHLCV, then possibly broken in a few places."""
+    has_adj = draw(st.booleans())
+    days = sorted(draw(st.lists(DAYS, min_size=1, max_size=40, unique=True)))
+    price = st.floats(1e-6, 1e9)
+    number = st.one_of(price.map(repr), price.map("{:.2f}".format), st.integers(1, 10**6).map(str))
+    rows = []
+    for day in days:
+        low, high = sorted(draw(st.tuples(price, price)))
+        o, c = (low + draw(st.floats(0.0, 1.0)) * (high - low) for _ in range(2))
+        cells = [day.isoformat(), repr(o), repr(high), repr(low), repr(c)]
+        cells += [draw(number)] if has_adj else []
+        rows.append(cells + [draw(st.one_of(number, st.just("0")))])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["bad_number"] * 3 + ["shuffle_ohlc"] * 2 + ["set_field", "swap_dates", "delete_field"]))
+        if kind == "bad_number":
+            bad = st.one_of(st.sampled_from(BAD_NUMBERS), st.floats(max_value=0.0).map(repr))
+            row[draw(st.integers(1, len(row) - 1))] = draw(bad)
+        elif kind == "set_field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.text(max_size=6))
+        elif kind == "shuffle_ohlc":
+            row[1:5] = draw(st.permutations(row[1:5]))
+        elif kind == "swap_dates":
+            other = draw(st.sampled_from(rows))
+            row[0], other[0] = other[0], row[0]
+        else:
+            del row[draw(st.integers(0, len(row) - 1))]
+    header = CSV_COLUMNS if has_adj else CSV_COLUMNS_NO_ADJ
+    return ("\n".join(",".join(cells) for cells in [list(header), *rows]) + "\n").encode("utf-8")
+
+
+def reference_load_csv(path):
+    """load_csv as a per-row loop that builds one Bar per row: columns or the error text."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text: {exc}"
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        return f"{path}: empty file, expected a header row"
+    header = tuple(cell.strip() for cell in header)
+    if header not in (CSV_COLUMNS, CSV_COLUMNS_NO_ADJ):
+        return f"{path}: unexpected header {','.join(header)!r}"
+    has_adj = header == CSV_COLUMNS
+    bars = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+        try:
+            day = parse_date(row[0].strip())
+            o, h, l, c = (float(row[i]) for i in range(1, 5))
+            adj = float(row[5]) if has_adj else c
+            vol = float(row[6] if has_adj else row[5])
+        except ValueError as exc:
+            return f"{path}:{lineno}: {exc}"
+        try:
+            bars.append(Bar(day, o, h, l, c, adj, vol))
+        except DataError as exc:
+            return str(exc)
+    if not bars:
+        return f"{path}: no data rows"
+    for prev, cur in zip(bars, bars[1:]):
+        if cur.date <= prev.date:
+            return f"dates not strictly increasing: {prev.date} then {cur.date}"
+    rows = [[getattr(b, f) for f in FIELDS] for b in bars]
+    return tuple(b.date for b in bars), np.array(rows, dtype=float).tobytes()
+
+
 class TestLoadCsvProperties:
     @settings(max_examples=300, deadline=None)
     @given(mutated_csv())
@@ -202,6 +356,76 @@ class TestLoadCsvProperties:
         except DataError:
             return
         assert len(bars) >= 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(price_csv(), mutated_csv()))
+    def test_matches_per_row_reference(self, tmp_path_factory, data):
+        # the columnar loader gives the same bars, or the same first error, as
+        # parsing and validating one row at a time
+        path = tmp_path_factory.getbasetemp() / "reference.csv"
+        path.write_bytes(data)
+        try:
+            got = columns(load_csv(path))
+        except DataError as exc:
+            got = str(exc)
+        assert got == reference_load_csv(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2020-01-02,10,11,9,10.5,10.4,-1", "2020-01-02: negative volume -1.0"),
+        ("2020-01-02,10,11,9,10.5,10.4,nan", "2020-01-02: negative volume nan"),
+        ("2020-01-02,10,11,9,11.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
+        ("2020-01-02,10,11,9,8.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
+        ("2020-01-02,12,11,9,10.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
+        ("2020-01-02,8,11,9,10.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
+        ("2020-01-02,10,11,9,10.5,0,1000", "2020-01-02: non-positive price adj_close=0.0"),
+        ("2020-01-02,10,inf,9,10.5,10.4,1000", "2020-01-02: non-positive price high=inf"),
+        ("2020-01-02,-10,11,9,10.5,-1,1000", "2020-01-02: non-positive price open=-10.0"),
+    ])
+    def test_each_row_check_reports_bar_message(self, tmp_path, row, message):
+        path = tmp_path / "prices.csv"
+        path.write_text("Date,Open,High,Low,Close,Adj Close,Volume\n2020-01-01,10,11,9,10.5,10.4,0\n"
+                        f"{row}\n2020-01-03,10,11,9,10.5,10.4,-5\n")
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == message
+
+    def test_earlier_validation_error_beats_later_parse_error(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Adj Close,Volume\n"
+            "2020-01-01,10,11,9,10.5,10.4,1000\n"
+            "2020-01-02,10,9,11,10.5,10.4,1000\n"  # High < Low
+            "2020-01-03,10,11,9,oops,10.4,1000\n"
+            "2020-01-03,10,11,9,10.5,10.4,1000\n"  # repeated date
+        )
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == "2020-01-02: OHLC ordering violated"
+        path.write_text(path.read_text().replace("10,9,11", "10,11,9"))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:4: could not convert string to float: 'oops'"
+        path.write_text(path.read_text().replace("oops", "10.5"))
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == "dates not strictly increasing: 2020-01-03 then 2020-01-03"
+
+    @settings(max_examples=100, deadline=None)
+    @given(price_csv())
+    def test_write_csv_bytes_match_per_bar_formatting(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "written.csv"
+        path.write_bytes(data)
+        try:
+            series = load_csv(path)
+        except DataError:
+            return
+        write_csv(series, path)
+        lines = [",".join(CSV_COLUMNS)] + [
+            b.date.isoformat() + "," + ",".join(repr(float(getattr(b, f))) for f in FIELDS)
+            for b in series.bars
+        ]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert load_csv(path, symbol=series.symbol) == series
 
 
 class TestParseDate:
@@ -354,6 +578,28 @@ class TestRsi:
     def test_output_length(self):
         assert rsi(np.arange(1.0, 31.0), 14).size == 30 - 14
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_equals_reference_wilder_loop(self, period, data):
+        closes = data.draw(st.lists(st.floats(1e-3, 1e6), min_size=period + 1, max_size=period + 60))
+        values = np.asarray(closes)
+        deltas = np.diff(values)
+        gains = np.where(deltas > 0, deltas, 0.0)
+        losses = np.where(deltas < 0, -deltas, 0.0)
+
+        def point(g, l):
+            return 50.0 if g == 0.0 and l == 0.0 else 100.0 if l == 0.0 else 100.0 - 100.0 / (1.0 + g / l)
+
+        expected = np.empty(deltas.size - period + 1)
+        avg_gain, avg_loss = float(gains[:period].mean()), float(losses[:period].mean())
+        expected[0] = point(avg_gain, avg_loss)
+        for i in range(period, deltas.size):
+            avg_gain = (avg_gain * (period - 1) + gains[i]) / period
+            avg_loss = (avg_loss * (period - 1) + losses[i]) / period
+            expected[i - period + 1] = point(avg_gain, avg_loss)
+        out = rsi(closes, period)
+        assert out.dtype == np.float64 and out.tobytes() == expected.tobytes()
+
     def test_range_property(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -443,6 +689,14 @@ class TestGenerateSynthetic:
             generate_synthetic("gbm", length=1)
         with pytest.raises(ValueError, match="unknown synthetic kind"):
             generate_synthetic("squarewave", length=10)
+
+    def test_unrepresentable_prices_rejected(self):
+        # (1 + drift) ** t overflows to inf; the row is rejected as any bar with it would be
+        with np.errstate(over="ignore"), pytest.raises(DataError) as info:
+            generate_synthetic("trend", length=400, drift=10.0)
+        assert str(info.value) == "2021-02-22: non-positive price open=inf"
+        with pytest.raises(DataError, match=r"negative volume nan$"):
+            generate_synthetic("sinusoid", length=5, volume=float("nan"))
 
     def test_weekday_grid(self):
         bars = generate_synthetic("trend", length=10, drift=0.01)
