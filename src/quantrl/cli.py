@@ -24,23 +24,16 @@ from .experiment import (
     config_from_dict,
     emit_report,
     emit_training,
+    load_artifact,
     load_bars,
-    load_metrics_document,
+    load_report_metrics,
     prepare_train,
     read_config,
     run_experiment,
+    stage,
     train_agent,
 )
-from .market_data import (
-    SYNTHETIC_KINDS,
-    DataError,
-    generate_synthetic,
-    load_csv,
-    parse_date,
-    write_csv,
-)
-from .neural_net import load_checkpoint
-from .rl_agents import QTable
+from .market_data import SYNTHETIC_KINDS, generate_synthetic, load_csv, parse_date, write_csv
 
 OUT_ROOT_ENV = "QUANTRL_OUT_ROOT"
 
@@ -68,13 +61,11 @@ def _apply_overrides(raw: dict, tokens: Sequence[str]) -> dict:
 
 
 def _load_config(args: argparse.Namespace, extras: Sequence[str]) -> ExperimentConfig:
-    try:
+    with stage("config"):
         raw = _apply_overrides(read_config(args.config), extras)
         if getattr(args, "seed", None) is not None:
             raw["seed"] = args.seed
         return config_from_dict(raw)
-    except ConfigError as exc:
-        raise ExperimentError("config", str(exc)) from None
 
 
 def _resolve_out_dir(cfg: ExperimentConfig, arg_out: str | None) -> Path:
@@ -93,10 +84,8 @@ def _reject_extras(extras: Sequence[str]) -> None:
 
 def cmd_ingest(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
-    try:
+    with stage("ingest"):
         bars = load_csv(args.csv)
-    except (DataError, OSError) as exc:
-        raise ExperimentError("ingest", str(exc)) from None
     first, last = bars.dates()[0], bars.dates()[-1]
     print(f"ok: {len(bars)} bars of {bars.symbol} from {first} to {last}")
     return 0
@@ -104,7 +93,7 @@ def cmd_ingest(args: argparse.Namespace, extras: Sequence[str]) -> int:
 
 def cmd_synth(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
-    try:
+    with stage("ingest"):
         bars = generate_synthetic(
             args.kind,
             length=args.length,
@@ -119,8 +108,6 @@ def cmd_synth(args: argparse.Namespace, extras: Sequence[str]) -> int:
             volume=args.volume,
         )
         write_csv(bars, args.out)
-    except (ValueError, OSError) as exc:
-        raise ExperimentError("ingest", str(exc)) from None
     print(f"wrote {len(bars)} bars to {args.out}")
     return 0
 
@@ -129,20 +116,13 @@ def cmd_train(args: argparse.Namespace, extras: Sequence[str]) -> int:
     cfg = _load_config(args, extras)
     if cfg.agent not in LEARNING_AGENTS:
         raise ExperimentError("train", f"agent kind {cfg.agent!r} has nothing to train")
-    try:
-        bars = load_bars(cfg)
-        _, _, train_window = prepare_train(cfg, bars)
-    except Exception as exc:
-        raise ExperimentError("ingest", str(exc)) from None
-    try:
+    with stage("ingest"):
+        _, _, train_window = prepare_train(cfg, load_bars(cfg))
+    with stage("train"):
         artifact, history = train_agent(cfg, train_window)
-    except Exception as exc:
-        raise ExperimentError("train", str(exc)) from None
     out = _resolve_out_dir(cfg, args.out)
-    try:
+    with stage("report"):
         emit_training(cfg, history, artifact, out)
-    except OSError as exc:
-        raise ExperimentError("report", str(exc)) from None
     print(f"trained {cfg.agent} for {cfg.episodes} episodes; artifacts in {out}")
     return 0
 
@@ -154,12 +134,8 @@ def _load_artifact(cfg: ExperimentConfig, checkpoint: str | None):
         raise ExperimentError(
             "evaluate", f"agent kind {cfg.agent!r} needs --checkpoint with a trained artifact"
         )
-    try:
-        if cfg.agent == "dqn":
-            return load_checkpoint(checkpoint)
-        return QTable.load(checkpoint)
-    except (ValueError, OSError) as exc:
-        raise ExperimentError("evaluate", str(exc)) from None
+    with stage("evaluate"):
+        return load_artifact(cfg, checkpoint)
 
 
 def cmd_evaluate(args: argparse.Namespace, extras: Sequence[str]) -> int:
@@ -175,10 +151,8 @@ def _report(cfg: ExperimentConfig, artifact, arg_out: str | None) -> int:
     """Run the experiment (training unless given an artifact), write and summarize it."""
     report = run_experiment(cfg, artifact=artifact)
     out = _resolve_out_dir(cfg, arg_out)
-    try:
+    with stage("report"):
         emit_report(report, out)
-    except OSError as exc:
-        raise ExperimentError("report", str(exc)) from None
     start, end = report.test_window_span
     print(f"test window {start}..{end}")
     for name, result in report.strategies.items():
@@ -189,24 +163,14 @@ def _report(cfg: ExperimentConfig, artifact, arg_out: str | None) -> int:
 
 def cmd_compare(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
-    docs = []
-    for directory in args.report_dirs:
-        path = Path(directory) / "metrics.json"
-        try:
-            docs.append((Path(directory).name, load_metrics_document(path)))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ExperimentError("report", f"{path}: {exc}") from None
-    try:
-        table = compare_metrics_documents(docs)
-    except ValueError as exc:
-        raise ExperimentError("report", str(exc)) from None
-    print(table.to_text(), end="")
-    if args.out:
-        try:
+    with stage("report"):
+        table = compare_metrics_documents(
+            [(f"{Path(d).name}:", load_report_metrics(d)) for d in args.report_dirs]
+        )
+        print(table.to_text(), end="")
+        if args.out:
             Path(args.out).write_text(table.to_csv_text(), encoding="utf-8")
-        except OSError as exc:
-            raise ExperimentError("report", str(exc)) from None
-        print(f"comparison written to {args.out}")
+            print(f"comparison written to {args.out}")
     return 0
 
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import Field, asdict, dataclass, fields
 from datetime import date
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .metrics import (
     encode_metric,
     match_trades,
 )
-from .neural_net import Mlp, _row_forward, init_mlp, save_checkpoint
+from .neural_net import Mlp, _row_forward, init_mlp, load_checkpoint, save_checkpoint
 from .rl_agents import (
     Discretizer,
     HistoryRow,
@@ -60,7 +61,7 @@ from .trading_env import Action, CostModel, MarketWindow, TradingEnv
 AGENT_KINDS = ("qtable", "dqn", "buy_and_hold", "sma_crossover")
 LEARNING_AGENTS = ("qtable", "dqn")
 
-# Metric name in the comparison table -> attribute on MetricsReport.
+# Metric name in the comparison table -> MetricsReport field (and metrics.json key).
 _COMPARE_SOURCE = {
     "roi": "roi",
     "cumulative_return": "cumulative_return",
@@ -95,6 +96,20 @@ class ExperimentError(RuntimeError):
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+@contextmanager
+def stage(name: str) -> Iterator[None]:
+    """Re-raise any failure in the block as ExperimentError(name, message).
+
+    An ExperimentError passes through unchanged, keeping its own stage.
+    """
+    try:
+        yield
+    except ExperimentError:
+        raise
+    except Exception as exc:
+        raise ExperimentError(name, str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -613,29 +628,18 @@ def run_experiment(
     Passing a pre-trained `artifact` skips the training stage (used by the
     evaluate subcommand). Errors carry their pipeline stage.
     """
-    try:
-        bars = load_bars(cfg)
-        prepared = prepare_data(cfg, bars)
-    except ExperimentError:
-        raise
-    except Exception as exc:
-        raise ExperimentError("ingest", str(exc)) from exc
+    with stage("ingest"):
+        prepared = prepare_data(cfg, load_bars(cfg))
 
     history: list[HistoryRow] = []
     if artifact is None:
-        try:
+        with stage("train"):
             artifact, history = train_agent(cfg, prepared.train_window)
-        except Exception as exc:
-            raise ExperimentError("train", str(exc)) from exc
 
-    try:
-        strategies: dict[str, StrategyResult] = {
-            cfg.agent: _strategy_result(cfg, cfg.agent, artifact, prepared)
-        }
+    with stage("evaluate"):
+        strategies = {cfg.agent: _strategy_result(cfg, cfg.agent, artifact, prepared)}
         if cfg.agent != "buy_and_hold":
             strategies["buy_and_hold"] = _strategy_result(cfg, "buy_and_hold", None, prepared)
-    except Exception as exc:
-        raise ExperimentError("evaluate", str(exc)) from exc
 
     return Report(cfg, strategies, history, artifact)
 
@@ -682,15 +686,57 @@ def load_metrics_document(path: str | Path) -> dict[str, Any]:
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
+def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
+    """The metrics document of a complete report directory.
+
+    A read error is prefixed with the metrics.json path. The document must
+    hold a test window and test metrics per strategy, and every file it
+    implies must be present: emit_report writes metrics.json last, so a
+    directory missing one was changed afterwards.
+    """
+    directory = Path(report_dir)
+    path = directory / "metrics.json"
+    try:
+        doc = load_metrics_document(path)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("test_window"), dict)
+        and isinstance(doc.get("strategies"), dict)
+    ):
+        raise ValueError(f"{path}: not a report, needs test_window and strategies objects")
+    names = ["config_echo.json", "history.csv"]
+    for name, windows in doc["strategies"].items():
+        test = windows.get("test") if isinstance(windows, dict) else None
+        if not isinstance(test, dict) or not set(_COMPARE_SOURCE.values()) <= set(test):
+            raise ValueError(f"{path}: strategy {name!r} lacks complete test metrics")
+        names += [f"equity_{name}.csv", f"trades_{name}.csv"]
+    for name in names:
+        if not (directory / name).is_file():
+            raise ValueError(f"{directory}: incomplete report, missing {name}")
+    return doc
+
+
+def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
+    """Read the trained artifact of cfg's learning agent, as emit_training wrote it."""
+    return load_checkpoint(path) if cfg.agent == "dqn" else QTable.load(path)
+
+
 def emit_training(
     cfg: ExperimentConfig,
     history: Sequence[HistoryRow],
     artifact: Mlp | QTable | None,
     out_dir: str | Path,
 ) -> list[Path]:
-    """Write the config echo, history.csv and the trained artifact, if any."""
+    """Write the config echo, history.csv and the trained artifact, if any.
+
+    An earlier report's metrics.json is removed first: only a complete
+    report directory holds one.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "metrics.json").unlink(missing_ok=True)
     written = [out / "config_echo.json", out / "history.csv"]
     written[0].write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
     write_history(history, written[1])
@@ -704,13 +750,17 @@ def emit_training(
 
 
 def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
-    """Write emit_training's files, metrics.json and each strategy's curve and trades."""
+    """Write emit_training's files, each strategy's curve and trades, then metrics.json.
+
+    metrics.json goes last, so a directory that holds one is a complete report.
+    """
     out = Path(out_dir)
     written = emit_training(report.config, report.history, report.artifact, out)
-    texts = {"metrics.json": _json_text(metrics_document(report))}
+    texts = {}
     for name, result in report.strategies.items():
         texts[f"equity_{name}.csv"] = _equity_csv(result.test_curve)
         texts[f"trades_{name}.csv"] = _trades_csv(result.test_trades)
+    texts["metrics.json"] = _json_text(metrics_document(report))
     for name, text in texts.items():
         written.append(out / name)
         written[-1].write_text(text, encoding="utf-8")
@@ -771,22 +821,34 @@ def _cell_text(value: float | None, exact: bool) -> str:
     return repr(encoded) if exact else format(encoded, ".6g")
 
 
-def _compare_entries(entries: list[tuple[str, Any, dict[str, float | None]]]) -> ComparisonTable:
-    if not entries:
-        raise ValueError("nothing to compare")
-    reference = entries[0][1]
-    for label, span, _ in entries:
-        if span != reference:
-            raise ValueError(
-                f"test windows differ: {label} covers {span}, expected {reference}"
-            )
+def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTable:
+    """One row per strategy of each (prefix, metrics document), named prefix + strategy.
+
+    Every row must share the first row's test window; a repeated name gets
+    a `#2`, `#3`, ... suffix.
+    """
+    rows: list[dict[str, Any]] = []
     seen: dict[str, int] = {}
-    rows = []
-    for label, _, metrics in entries:
-        seen[label] = seen.get(label, 0) + 1
-        if seen[label] > 1:
-            label = f"{label}#{seen[label]}"
-        rows.append({"strategy": label, **metrics})
+    reference = None
+    for prefix, doc in docs:
+        span = (doc["test_window"]["start"], doc["test_window"]["end"])
+        for name, windows in doc["strategies"].items():
+            label = prefix + name
+            reference = reference or span
+            if span != reference:
+                raise ValueError(
+                    f"test windows differ: {label} covers {span}, expected {reference}"
+                )
+            seen[label] = seen.get(label, 0) + 1
+            if seen[label] > 1:
+                label = f"{label}#{seen[label]}"
+            test = windows["test"]
+            rows.append(
+                {"strategy": label}
+                | {col: decode_metric(test[key]) for col, key in _COMPARE_SOURCE.items()}
+            )
+    if not rows:
+        raise ValueError("nothing to compare")
     winners: dict[str, str] = {}
     for col, pick in _COMPARE_DIRECTION.items():
         defined = [(row[col], row["strategy"]) for row in rows if row[col] is not None]
@@ -796,29 +858,6 @@ def _compare_entries(entries: list[tuple[str, Any, dict[str, float | None]]]) ->
     return ComparisonTable(rows, winners)
 
 
-def _metrics_to_row(metrics: MetricsReport) -> dict[str, float | None]:
-    return {col: getattr(metrics, attr) for col, attr in _COMPARE_SOURCE.items()}
-
-
 def compare_strategies(reports: Sequence[Report]) -> ComparisonTable:
     """One row per strategy across reports; all must share the test window."""
-    entries = []
-    for report in reports:
-        span = report.test_window_span
-        for name, result in report.strategies.items():
-            entries.append((name, span, _metrics_to_row(result.test_metrics)))
-    return _compare_entries(entries)
-
-
-def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTable:
-    """Compare emitted metrics.json documents; labels prefix strategy names."""
-    entries = []
-    for label, doc in docs:
-        span = (doc["test_window"]["start"], doc["test_window"]["end"])
-        for name, windows in doc["strategies"].items():
-            metrics = {
-                col: decode_metric(windows["test"][attr])
-                for col, attr in _COMPARE_SOURCE.items()
-            }
-            entries.append((f"{label}:{name}", span, metrics))
-    return _compare_entries(entries)
+    return compare_metrics_documents([("", metrics_document(r)) for r in reports])

@@ -379,6 +379,8 @@ def _weekday_grid(start: date, length: int) -> tuple[date, ...]:
     return tuple(out)
 
 
+# An unrepresentable price overflows to inf; the row checks report that, not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic(
     kind: str,
     *,

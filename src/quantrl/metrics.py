@@ -343,17 +343,14 @@ def compute_report(
     volumes: Sequence[float] | np.ndarray | None = None,
     rf_daily: float = 0.0,
     annualization: float = math.sqrt(252.0),
-    final_price: float | None = None,
-    final_date: date | None = None,
-    day_count: str = "calendar",
-    trades: Sequence[RoundTripTrade] | None = None,
+    *,
+    trades: Sequence[RoundTripTrade],
 ) -> MetricsReport:
     """Evaluate every metric over one equity curve and its fills.
 
-    `volumes` is the instrument's daily volume aligned with the curve;
-    `final_price` marks still-open lots to market for trade statistics.
-    `trades` passes the fills already matched; the matching arguments
-    (`final_price`, `final_date`, `day_count`) are then unused.
+    `volumes` is the instrument's daily volume aligned with the curve.
+    `trades` are the fills as `match_trades` paired them, open lots marked
+    to market; the trade statistics come from them.
     """
     for fill in fills:
         if not curve.dates[0] <= fill.date <= curve.dates[-1]:
@@ -374,15 +371,6 @@ def compute_report(
     )
     volume_avg = adtv(float(volumes.sum()), len(curve)) if volumes is not None else None
     turnover = sum(f.shares for f in fills) / len(curve)
-
-    if trades is None:
-        trades = match_trades(
-            fills,
-            final_price=final_price,
-            final_date=final_date if final_date is not None else curve.dates[-1],
-            day_count=day_count,
-            trading_dates=curve.dates if day_count == "trading" else None,
-        )
     return MetricsReport(
         roi=curve.roi(),
         cumulative_return=cumulative_return(returns),

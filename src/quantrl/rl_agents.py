@@ -376,11 +376,10 @@ def train_qlearning(
     env: Env,
     cfg: TrainConfig,
     discretizer: Callable[[np.ndarray], StateKey],
-    schedule: EpsilonSchedule | None = None,
 ) -> tuple[QTable, list[HistoryRow]]:
     """Tabular Q-learning: cfg.episodes full passes over the environment."""
     rng = np.random.default_rng(cfg.seed)
-    schedule = schedule or _schedule_for(env, cfg)
+    schedule = _schedule_for(env, cfg)
     table = QTable()
     history: list[HistoryRow] = []
     step = 0
@@ -435,7 +434,6 @@ def train_dqn(
     env: Env,
     cfg: TrainConfig,
     net: Mlp,
-    schedule: EpsilonSchedule | None = None,
 ) -> tuple[Mlp, list[HistoryRow]]:
     """DQN training with uniform replay and a periodically synced target net.
 
@@ -449,7 +447,7 @@ def train_dqn(
     if net.layer_sizes[-1] != 3:
         raise ValueError("network must emit one value per action (3 outputs)")
     rng = np.random.default_rng(cfg.seed)
-    schedule = schedule or _schedule_for(env, cfg)
+    schedule = _schedule_for(env, cfg)
     target_net = clone_parameters(net)
     replay = _ReplayArrays(cfg.buffer_capacity, net.layer_sizes[0])
     history: list[HistoryRow] = []

@@ -1,0 +1,214 @@
+"""Every CLI failure is one stage-tagged line on stderr and exit status 1."""
+
+import json
+import re
+import shutil
+import warnings
+from pathlib import Path
+
+import pytest
+
+from quantrl.cli import main
+from quantrl.market_data import generate_synthetic
+
+LENGTH, TRAIN_BARS = 60, 40
+DATES = [d.isoformat() for d in generate_synthetic("sinusoid", length=LENGTH).dates()]
+
+
+def config(agent="buy_and_hold", **extra):
+    return {
+        "data": {"synthetic": {"kind": "sinusoid", "length": LENGTH}},
+        "agent": agent,
+        "episodes": 1,
+        "train_start": DATES[0],
+        "train_end": DATES[TRAIN_BARS - 1],
+        "test_start": DATES[TRAIN_BARS],
+        "test_end": DATES[-1],
+        **extra,
+    }
+
+
+def write(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def run_cli(capsys, argv):
+    """(exit code, stdout, stderr, warning messages) of one in-process CLI call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, [str(w.message) for w in caught]
+
+
+@pytest.fixture(scope="module")
+def reports(tmp_path_factory):
+    """Two complete buy-and-hold reports whose test windows differ."""
+    root = tmp_path_factory.mktemp("reports")
+    for name, raw in (("good", config()), ("other", config(test_start=DATES[TRAIN_BARS + 1]))):
+        cfg = write(root / f"{name}.json", json.dumps(raw))
+        assert main(["run", "--config", str(cfg), "--out", str(root / name)]) == 0
+    return root
+
+
+def config_file(tmp, agent="buy_and_hold", **extra):
+    return write(tmp / "c.json", json.dumps(config(agent, **extra)))
+
+
+def metrics_file(tmp, text):
+    """A directory holding only a metrics.json with `text`."""
+    return write(tmp / "metrics.json", text).parent
+
+
+def broken_report(tmp, reports, edit):
+    """A copy of the good report with `edit(directory)` applied."""
+    directory = tmp / "broken"
+    shutil.copytree(reports / "good", directory)
+    edit(directory)
+    return directory
+
+
+def edit_test_metrics(change):
+    """An edit applying `change` to the buy-and-hold entry of metrics.json."""
+    def edit(directory):
+        path = directory / "metrics.json"
+        doc = json.loads(path.read_text())
+        change(doc["strategies"]["buy_and_hold"])
+        path.write_text(json.dumps(doc))
+    return edit
+
+
+BAD_ROW_CSV = (
+    "Date,Open,High,Low,Close,Adj Close,Volume\n"
+    "2020-01-01,10,11,9,10.5,10.4,1000\n"
+    "2020-01-02,10,9,11,10.5,10.4,1000\n"
+)
+
+# id -> (argv from (tmp_path, reports), stage, pattern the message must contain)
+CASES = {
+    "config-missing": (
+        lambda tmp, r: ["run", "--config", tmp / "nope.json"], "config", "cannot read config"),
+    "config-invalid-json": (
+        lambda tmp, r: ["run", "--config", write(tmp / "c.json", "{")], "config", "invalid JSON"),
+    "config-unknown-key": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, bogus=1)],
+        "config", "unknown config keys: bogus"),
+    "config-bad-override": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), "--agent.kind=1"],
+        "config", "descends into a non-object value"),
+    "extra-arguments": (
+        lambda tmp, r: ["ingest", "--csv", "x.csv", "--bogus"],
+        "config", "unrecognized arguments: --bogus"),
+    "ingest-missing-csv": (
+        lambda tmp, r: ["ingest", "--csv", tmp / "nope.csv"], "ingest", "No such file"),
+    "ingest-bad-row": (
+        lambda tmp, r: ["ingest", "--csv", write(tmp / "bad.csv", BAD_ROW_CSV)],
+        "ingest", "2020-01-02: OHLC ordering violated"),
+    "synth-overflow": (
+        lambda tmp, r: ["synth", "--kind", "trend", "--drift", "10", "--length", "400",
+                        "--out", tmp / "t.csv"],
+        "ingest", "2021-02-22: non-positive price open=inf"),
+    "run-missing-csv": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": str(tmp / "x.csv")})],
+        "ingest", "No such file"),
+    "test-window-too-short": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, test_start=DATES[-1])],
+        "ingest", "test window .* holds 1 bars, need >= 2"),
+    "train-baseline": (
+        lambda tmp, r: ["train", "--config", config_file(tmp)],
+        "train", "'buy_and_hold' has nothing to train"),
+    "out-is-a-file": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), "--out", write(tmp / "taken", "")],
+        "report", "File exists"),
+    "evaluate-no-checkpoint": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "qtable")],
+        "evaluate", "needs --checkpoint"),
+    "evaluate-missing-checkpoint": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
+                        "--checkpoint", tmp / "nope.txt"],
+        "evaluate", "No such file"),
+    "evaluate-corrupt-checkpoint": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
+                        "--checkpoint", write(tmp / "ck.txt", "junk\n")],
+        "evaluate", "not a .* checkpoint"),
+    "evaluate-wrong-width-checkpoint": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
+                        "--checkpoint", write(tmp / "ck.txt", "quantrl-mlp-v1\n2 3\n" + "0.5\n" * 9)],
+        "evaluate", "input width 10 does not match first layer size 2"),
+    "evaluate-corrupt-qtable": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "qtable"),
+                        "--checkpoint", write(tmp / "q.csv", "junk\n")],
+        "evaluate", "not a q-table file"),
+    "compare-missing-metrics": (
+        lambda tmp, r: ["compare", tmp], "report", r"metrics\.json: \[Errno 2\]"),
+    "compare-invalid-json": (
+        lambda tmp, r: ["compare", metrics_file(tmp, "{")], "report", r"metrics\.json: Expecting"),
+    "compare-list": (
+        lambda tmp, r: ["compare", metrics_file(tmp, "[]")], "report", "not a report"),
+    "compare-empty-object": (
+        lambda tmp, r: ["compare", metrics_file(tmp, "{}")], "report", "not a report"),
+    "compare-no-test-metrics": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows.pop("test")))],
+        "report", "strategy 'buy_and_hold' lacks complete test metrics"),
+    "compare-missing-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].pop("roi")))],
+        "report", "strategy 'buy_and_hold' lacks complete test metrics"),
+    "compare-non-numeric-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].update(roi=[1])))],
+        "report", r"float\(\) argument must be"),
+    "compare-missing-equity": (
+        lambda tmp, r: ["compare", broken_report(
+            tmp, r, lambda d: (d / "equity_buy_and_hold.csv").unlink())],
+        "report", "broken: incomplete report, missing equity_buy_and_hold.csv"),
+    "compare-missing-history": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, lambda d: (d / "history.csv").unlink())],
+        "report", "broken: incomplete report, missing history.csv"),
+    "compare-mismatched-windows": (
+        lambda tmp, r: ["compare", r / "good", r / "other"],
+        "report", "test windows differ: other:buy_and_hold covers"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
+    argv, stage, pattern = CASES[case]
+    code, _, err, caught = run_cli(capsys, argv(tmp_path, reports))
+    assert code == 1
+    assert re.fullmatch(rf"error: \[{stage}\] [^\n]*{pattern}[^\n]*\n", err), err
+    assert caught == []
+
+
+def test_valid_reports_compare(tmp_path, capsys, reports):
+    code, out, err, _ = run_cli(capsys, ["compare", reports / "good", reports / "good",
+                                         "--out", tmp_path / "cmp.csv"])
+    assert code == 0 and err == ""
+    assert "good:buy_and_hold#2" in out and (tmp_path / "cmp.csv").is_file()
+
+
+@pytest.mark.parametrize(
+    "subcommand, failing", [("run", "equity_buy_and_hold.csv"), ("train", "qtable.csv")]
+)
+def test_cut_short_write_leaves_no_metrics(tmp_path, capsys, monkeypatch, subcommand, failing):
+    # a complete earlier report sits in the directory; the new one fails partway
+    cfg = config_file(tmp_path, "qtable")
+    out = tmp_path / "report"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert run_cli(capsys, ["compare", out])[0] == 0
+    real_write_text = Path.write_text
+
+    def failing_write_text(self, *args, **kwargs):
+        if self == out / failing:
+            raise OSError(28, "No space left on device")
+        return real_write_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write_text)
+    failed = run_cli(capsys, [subcommand, "--config", cfg, "--out", out])
+    monkeypatch.undo()
+    assert failed[0] == 1 and failed[2] == "error: [report] [Errno 28] No space left on device\n"
+    assert not (out / "metrics.json").exists()
+    code, _, err, _ = run_cli(capsys, ["compare", out])
+    assert code == 1 and re.fullmatch(r"error: \[report\] \S+metrics\.json: \[Errno 2\][^\n]*\n", err)

@@ -390,7 +390,7 @@ class TestMatchTrades:
 
 class TestComputeReport:
     def test_flat_curve_no_fills(self):
-        report = compute_report(curve_of([1000.0] * 5))
+        report = compute_report(curve_of([1000.0] * 5), trades=[])
         assert report.cumulative_return == 0.0
         assert report.max_drawdown == 0.0
         assert report.roi == 0.0
@@ -402,7 +402,7 @@ class TestComputeReport:
         assert report.agent_adtv == 0.0
 
     def test_roi_equals_cumulative_return_two_points(self):
-        report = compute_report(curve_of([1000.0, 1100.0]))
+        report = compute_report(curve_of([1000.0, 1100.0]), trades=[])
         assert report.roi == pytest.approx(0.10, rel=1e-12)
         assert report.cumulative_return == pytest.approx(report.roi, rel=1e-10)
 
@@ -410,36 +410,28 @@ class TestComputeReport:
         curve = curve_of([100.0, 120.0, 90.0, 130.0])
         fills = [Fill(curve.dates[0], "buy", 3, 100.0), Fill(curve.dates[2], "sell", 3, 90.0)]
         volumes = [5000.0, 6000.0, 7000.0, 8000.0]
-        a = compute_report(curve, fills, volumes, final_price=130.0)
-        b = compute_report(curve, fills, volumes, final_price=130.0)
+        trades = match_trades(fills, final_price=130.0, final_date=curve.dates[-1])
+        a = compute_report(curve, fills, volumes, trades=trades)
+        b = compute_report(curve, fills, volumes, trades=trades)
         assert a == b
 
-    def test_trades_matched_by_the_caller(self):
-        curve = curve_of([100.0, 120.0, 90.0, 130.0])
-        fills = [Fill(curve.dates[0], "buy", 3, 100.0), Fill(curve.dates[1], "buy", 2, 120.0),
-                 Fill(curve.dates[2], "sell", 4, 90.0)]
-        trades = match_trades(fills, final_price=130.0, final_date=curve.dates[-1])
-        assert compute_report(curve, fills, trades=trades) == compute_report(
-            curve, fills, final_price=130.0
-        )
-
     def test_volumes_and_adtv(self):
-        report = compute_report(curve_of([100.0, 101.0]), volumes=[1000.0, 3000.0])
+        report = compute_report(curve_of([100.0, 101.0]), volumes=[1000.0, 3000.0], trades=[])
         assert report.adtv == 2000.0
 
     def test_misaligned_volumes(self):
         with pytest.raises(ValueError, match="misaligned"):
-            compute_report(curve_of([100.0, 101.0]), volumes=[1.0])
+            compute_report(curve_of([100.0, 101.0]), volumes=[1.0], trades=[])
 
     def test_fill_outside_curve(self):
         fills = [Fill(date(2030, 1, 1), "buy", 1, 10.0)]
         with pytest.raises(ValueError, match="outside curve"):
-            compute_report(curve_of([100.0, 101.0]), fills)
+            compute_report(curve_of([100.0, 101.0]), fills, trades=match_trades(fills))
 
     def test_agent_turnover(self):
         curve = curve_of([100.0, 110.0, 120.0, 130.0])
         fills = [Fill(curve.dates[0], "buy", 6, 100.0), Fill(curve.dates[1], "sell", 6, 110.0)]
-        report = compute_report(curve, fills)
+        report = compute_report(curve, fills, trades=match_trades(fills))
         assert report.agent_adtv == 3.0
 
 

@@ -435,9 +435,9 @@ class TestTrainQLearning:
         _, _, window = prepare_train(cfg, load_bars(cfg))
         env = make_config_env(cfg, window)
         disc = Discretizer.uniform(window.obs_dim, cfg.state_cuts)
-        train_cfg = TrainConfig(alpha=0.2, gamma=0.9, episodes=8, seed=3)
+        train_cfg = TrainConfig(alpha=0.2, gamma=0.9, episodes=8, seed=3, eps_decay_fraction=0.5)
         schedule = EpsilonSchedule(1.0, 0.05, 4 * env.steps_per_episode)
-        table, history = train_qlearning(env, train_cfg, disc, schedule)
+        table, history = train_qlearning(env, train_cfg, disc)
         ref_table, ref_history = reference_qlearning(env, train_cfg, disc.cuts, schedule)
         assert len(table) > 10
         pairs = list(zip(table.items(), ref_table.items(), strict=True))
