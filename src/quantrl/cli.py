@@ -161,11 +161,17 @@ def _report(cfg: ExperimentConfig, artifact, arg_out: str | None) -> int:
     return 0
 
 
+def _report_label(report_dir: str) -> str:
+    """The directory's name; for `.` and `..`, which have none, the resolved one's."""
+    path = Path(report_dir)
+    return f"{(path.resolve() if path.name in ('', '..') else path).name}:"
+
+
 def cmd_compare(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
     with stage("report"):
         table = compare_metrics_documents(
-            [(f"{Path(d).name}:", load_report_metrics(d)) for d in args.report_dirs]
+            [(_report_label(d), load_report_metrics(d)) for d in args.report_dirs]
         )
         print(table.to_text(), end="")
         if args.out:

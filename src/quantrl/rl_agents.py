@@ -20,9 +20,14 @@ import numpy as np
 from .market_data import BarSeries, sma
 from .metrics import EquityCurve, Fill
 from .neural_net import Mlp, _column_backward, clone_parameters, forward, sgd_step
-from .trading_env import Action, CostModel, Portfolio, ZERO_COST, execute_action, wealth
+from .trading_env import Action, CostModel, Portfolio, ZERO_COST, _trade
 
 StateKey = tuple[int, ...]
+
+_ACTIONS = tuple(Action)
+# What an unvisited state reads as; shared, so it is read-only.
+_ZERO_ROW = np.zeros(3)
+_ZERO_ROW.flags.writeable = False
 
 HISTORY_HEADER = "episode,epsilon,mean_loss,roi"
 
@@ -271,8 +276,9 @@ class QTable:
         return len(self._q)
 
     def action_values(self, key: StateKey) -> np.ndarray:
+        """The stored row of `key`, or a read-only zero row if it was never updated."""
         stored = self._q.get(key)
-        return stored if stored is not None else np.zeros(3)
+        return stored if stored is not None else _ZERO_ROW
 
     def _writable(self, key: StateKey) -> np.ndarray:
         stored = self._q.get(key)
@@ -327,9 +333,13 @@ def q_update(
         raise ValueError("alpha must be in (0, 1]")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must be in [0, 1)")
-    target = r if terminal else r + gamma * float(table.action_values(s_next).max())
+    # Python floats round as float64 does. On a finite row max() differs from
+    # np.max at most in the sign of a zero, which the update below cannot see.
+    target = r if terminal else r + gamma * max(table.action_values(s_next).tolist())
     q_s = table._writable(s)
-    q_s[int(a)] += alpha * (target - q_s[int(a)])
+    a = int(a)
+    q = q_s.item(a)
+    q_s[a] = q + alpha * (target - q)
     return table
 
 
@@ -349,8 +359,8 @@ def select_action(
         if rng is None:
             raise ValueError("epsilon > 0 requires a random generator")
         if rng.random() < epsilon:
-            return Action(int(rng.integers(0, 3)))
-    return Action(int(np.argmax(np.asarray(values, dtype=float))))
+            return _ACTIONS[rng.integers(0, 3)]
+    return _ACTIONS[np.asarray(values, dtype=float).argmax()]
 
 
 def bellman_targets(
@@ -497,19 +507,25 @@ def simulate(
     that close; the share change is recorded as a Fill and wealth is marked
     at the same close.
     """
+    prices = np.asarray(prices, dtype=float)
+    if prices.size and (not np.isfinite(prices).all() or prices.min() <= 0):
+        raise ValueError("price must be positive")
+    if not (0.0 < buy_fraction <= 1.0 and 0.0 < sell_fraction <= 1.0):
+        raise ValueError("fraction must be in (0, 1]")
     rate = costs.proportional_rate
-    values = np.empty(len(dates))
+    values: list[float] = []
     fills: list[Fill] = []
-    for t, price in enumerate(np.asarray(prices, dtype=float).tolist()):
-        after = execute_action(
-            portfolio, decide(t, portfolio), price, costs, buy_fraction, sell_fraction
+    for t, price in enumerate(prices.tolist()):
+        cash, shares = _trade(
+            portfolio.cash, portfolio.shares, decide(t, portfolio), price,
+            rate, buy_fraction, sell_fraction,
         )
-        delta = after.shares - portfolio.shares
+        delta = shares - portfolio.shares
         if delta:
             side = "buy" if delta > 0 else "sell"
             fills.append(Fill(dates[t], side, abs(delta), price, cost=abs(delta) * price * rate))
-        portfolio = after
-        values[t] = wealth(portfolio, price)
+            portfolio = Portfolio(cash, shares)
+        values.append(cash + shares * price)
     return EquityCurve(dates, values), fills
 
 

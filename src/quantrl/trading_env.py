@@ -8,7 +8,7 @@ and share count never go negative. All steps are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
 
@@ -72,6 +72,35 @@ def roi(initial_wealth: float, final_wealth: float) -> float:
     return final_wealth / initial_wealth - 1.0
 
 
+def _trade(
+    cash: float, shares: int, action: Action | int, price: float,
+    rate: float, buy_fraction: float, sell_fraction: float,
+) -> tuple[float, int]:
+    """(cash, shares) after `action` at `price`; the inputs if nothing trades.
+
+    The one place the buy and sell arithmetic lives. It checks the action
+    only: callers check the price and the fractions, once or per call.
+    """
+    # Compared as ints: converting through Action(...) costs more than a trade.
+    if action == _BUY:
+        unit_cost = price * (1.0 + rate)
+        bought = math.floor((buy_fraction * cash) / unit_cost)
+        total = bought * unit_cost
+        # Guard against float rounding pushing the spend past available cash.
+        while bought > 0 and total > cash:
+            bought -= 1
+            total = bought * unit_cost
+        if bought > 0:
+            return cash - total, shares + bought
+    elif action == _SELL:
+        sold = min(shares, math.floor(sell_fraction * shares))
+        if sold > 0:
+            return cash + sold * price * (1.0 - rate), shares - sold
+    elif action != _HOLD:
+        raise ValueError(f"{action!r} is not a valid Action")
+    return cash, shares
+
+
 def execute_buy(
     portfolio: Portfolio,
     price: float,
@@ -82,22 +111,7 @@ def execute_buy(
 
     Unaffordable buys (zero whole shares) leave the portfolio unchanged.
     """
-    if price <= 0 or not math.isfinite(price):
-        raise ValueError("price must be positive")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    unit_cost = price * (1.0 + costs.proportional_rate)
-    bought = math.floor((fraction * portfolio.cash) / unit_cost)
-    if bought <= 0:
-        return portfolio
-    total = bought * unit_cost
-    # Guard against float rounding pushing the spend past available cash.
-    while bought > 0 and total > portfolio.cash:
-        bought -= 1
-        total = bought * unit_cost
-    if bought <= 0:
-        return portfolio
-    return replace(portfolio, cash=portfolio.cash - total, shares=portfolio.shares + bought)
+    return execute_action(portfolio, _BUY, price, costs, buy_fraction=fraction)
 
 
 def execute_sell(
@@ -107,15 +121,7 @@ def execute_sell(
     costs: CostModel = ZERO_COST,
 ) -> Portfolio:
     """Sell floor(fraction * shares) at `price`, crediting proceeds net of costs."""
-    if price <= 0 or not math.isfinite(price):
-        raise ValueError("price must be positive")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    sold = min(portfolio.shares, math.floor(fraction * portfolio.shares))
-    if sold <= 0:
-        return portfolio
-    proceeds = sold * price * (1.0 - costs.proportional_rate)
-    return replace(portfolio, cash=portfolio.cash + proceeds, shares=portfolio.shares - sold)
+    return execute_action(portfolio, _SELL, price, costs, sell_fraction=fraction)
 
 
 def execute_action(
@@ -127,14 +133,19 @@ def execute_action(
     sell_fraction: float = 1.0,
 ) -> Portfolio:
     """Execute one action at `price`; Hold leaves the portfolio unchanged."""
-    # Compared as ints: converting through Action(...) costs more than a trade.
-    if action == _BUY:
-        return execute_buy(portfolio, price, buy_fraction, costs)
-    if action == _SELL:
-        return execute_sell(portfolio, price, sell_fraction, costs)
-    if action != _HOLD:
+    if action == _HOLD:
+        return portfolio
+    if action != _BUY and action != _SELL:
         raise ValueError(f"{action!r} is not a valid Action")
-    return portfolio
+    if price <= 0 or not math.isfinite(price):
+        raise ValueError("price must be positive")
+    if not 0.0 < (buy_fraction if action == _BUY else sell_fraction) <= 1.0:
+        raise ValueError("fraction must be in (0, 1]")
+    cash, shares = _trade(
+        portfolio.cash, portfolio.shares, action, price,
+        costs.proportional_rate, buy_fraction, sell_fraction,
+    )
+    return portfolio if shares == portfolio.shares else Portfolio(cash, shares)
 
 
 @dataclass(frozen=True)
@@ -203,8 +214,10 @@ class TradingEnv:
             raise ValueError("buy/sell fractions must be in (0, 1]")
         object.__setattr__(self, "initial_cash", float(self.initial_cash))
         object.__setattr__(self, "initial_shares", int(self.initial_shares))
-        initial_wealth = self.initial_cash + self.initial_shares * float(self.window.prices[0])
-        object.__setattr__(self, "_initial_wealth", initial_wealth)
+        # MarketWindow checked these prices; step reads them as Python floats.
+        prices = self.window.prices.tolist()
+        object.__setattr__(self, "_prices", prices)
+        object.__setattr__(self, "_initial_wealth", self.initial_cash + self.initial_shares * prices[0])
 
     @property
     def steps_per_episode(self) -> int:
@@ -223,17 +236,21 @@ class TradingEnv:
         if state.done:
             raise ValueError("cannot step a finished episode")
         t = state.step_index
-        portfolio = execute_action(
-            state.portfolio, action, float(self.window.prices[t]),
-            self.costs, self.buy_fraction, self.sell_fraction,
+        prices = self._prices
+        portfolio = state.portfolio
+        cash, shares = _trade(
+            portfolio.cash, portfolio.shares, action, prices[t],
+            self.costs.proportional_rate, self.buy_fraction, self.sell_fraction,
         )
+        if shares != portfolio.shares:
+            portfolio = Portfolio(cash, shares)
         t_next = t + 1
-        marked = wealth(portfolio, float(self.window.prices[t_next]))
+        marked = cash + shares * prices[t_next]
         if self.reward_mode == "percentage":
             reward = (marked - state.wealth_prev) / state.wealth_prev
         else:
             reward = marked - state.wealth_prev
-        done = t_next == len(self.window) - 1
+        done = t_next == len(prices) - 1
         next_state = EnvState(portfolio, t_next, marked, done)
         return next_state, self.window.observations[t_next], reward, done
 

@@ -189,6 +189,31 @@ def test_valid_reports_compare(tmp_path, capsys, reports):
     assert "good:buy_and_hold#2" in out and (tmp_path / "cmp.csv").is_file()
 
 
+def row_labels(out):
+    """The strategy column of a compare table."""
+    return [line.split()[0] for line in out.splitlines()[2:]]
+
+
+# id -> (directory to run in, from (tmp_path, reports), compare arguments, row labels)
+LABEL_CASES = {
+    "dot": (lambda tmp, r: r / "good", ["."], ["good:buy_and_hold"]),
+    "dot-dot": (
+        lambda tmp, r: broken_report(tmp, r, lambda d: (d / "inner").mkdir()) / "inner",
+        [".."], ["broken:buy_and_hold"]),
+    "same-name-twice": (
+        lambda tmp, r: r / "good", [".", "../good"], ["good:buy_and_hold", "good:buy_and_hold#2"]),
+}
+
+
+@pytest.mark.parametrize("case", LABEL_CASES)
+def test_compare_labels_rows_by_directory_name(tmp_path, capsys, monkeypatch, reports, case):
+    where, args, labels = LABEL_CASES[case]
+    monkeypatch.chdir(where(tmp_path, reports))
+    code, out, err, _ = run_cli(capsys, ["compare", *args])
+    assert code == 0 and err == ""
+    assert row_labels(out) == labels
+
+
 @pytest.mark.parametrize(
     "subcommand, failing", [("run", "equity_buy_and_hold.csv"), ("train", "qtable.csv")]
 )

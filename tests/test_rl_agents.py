@@ -2,7 +2,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantrl.experiment import config_from_dict, load_bars, make_env as make_config_env, prepare_train
 from quantrl.market_data import generate_synthetic
@@ -223,6 +223,44 @@ class TestQUpdate:
         assert len(table) == 0
 
 
+# Finite action values with many ties and both signs of zero.
+q_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]) | st.floats(-1e6, 1e6)
+q_row = st.lists(q_value, min_size=3, max_size=3)
+
+
+def reference_q_update(rows, s, a, r, s_next, terminal, alpha, gamma):
+    """q_update on a dict of rows in numpy float64 arithmetic, zero rows for unseen keys."""
+    target = r if terminal else r + gamma * float(rows.get(s_next, np.zeros(3)).max())
+    q_s = rows.setdefault(s, np.zeros(3))
+    q_s[a] += alpha * (target - q_s[a])
+
+
+class TestQUpdateMatchesNumpyReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q_row, q_row, st.sampled_from(list(Action)), q_value,
+        st.floats(0.0, 1.0, exclude_min=True), st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from(["seen", "unseen", "terminal"]), st.booleans(),
+    )
+    # a -0.0 reward onto a next row whose max is a signed-zero tie
+    @example([0.0, -0.0, 0.0], [-0.0, 0.0, -1.0], Action.HOLD, -0.0, 0.5, 0.0, "seen", True)
+    def test_bit_identical(self, row, next_row, action, r, alpha, gamma, next_state, seen_s):
+        s, s_next = (0,), (1,)
+        table, rows = QTable(), {}
+        if seen_s:
+            table._writable(s)[:] = row
+            rows[s] = np.array(row)
+        if next_state != "unseen":
+            table._writable(s_next)[:] = next_row
+            rows[s_next] = np.array(next_row)
+        terminal = next_state == "terminal"
+        q_update(table, s, action, r, s_next, terminal, alpha, gamma)
+        reference_q_update(rows, s, int(action), r, s_next, terminal, alpha, gamma)
+        assert sorted(k for k, _ in table.items()) == sorted(rows)
+        for key, values in table.items():
+            assert values.tobytes() == rows[key].tobytes()
+
+
 class TestSelectAction:
     def test_greedy_argmax(self):
         assert select_action(np.array([1.0, 3.0, 2.0]), 0.0) is Action.BUY
@@ -245,6 +283,28 @@ class TestSelectAction:
         base = select_action(values, 0.0)
         assert select_action(values + 7.0, 0.0) is base
         assert select_action(values * 3.5, 0.0) is base
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_row)
+    @example([-0.0, 0.0, -1.0])
+    @example([0.0, -0.0, 0.0])
+    def test_greedy_is_numpy_argmax_member(self, row):
+        expected = Action(int(np.argmax(np.array(row))))
+        assert select_action(np.array(row), 0.0) is expected
+        assert select_action(row, 0.0) is expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32), st.floats(0.0, 1.0), st.lists(q_row, min_size=1, max_size=20))
+    def test_draws_match_reference(self, seed, epsilon, rows):
+        """No draw at epsilon 0, else random() and, on explore, integers(0, 3)."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for row in rows:
+            if epsilon > 0.0 and ref.random() < epsilon:
+                expected = Action(int(ref.integers(0, 3)))
+            else:
+                expected = Action(int(np.argmax(np.array(row))))
+            assert select_action(np.array(row), epsilon, rng) is expected
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_epsilon_requires_rng(self):
         with pytest.raises(ValueError, match="generator"):

@@ -1,14 +1,19 @@
+import math
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from quantrl.metrics import Fill
+from quantrl.rl_agents import simulate
 from quantrl.trading_env import (
     Action,
     CostModel,
     MarketWindow,
     Portfolio,
     TradingEnv,
+    execute_action,
     execute_buy,
     execute_sell,
     roi,
@@ -304,3 +309,114 @@ class TestAccountingProperties:
         while not done:
             state, _, reward, done = env.step(state, Action.HOLD)
             assert reward == 0.0
+
+
+def reference_execute(portfolio, action, price, rate, buy_fraction, sell_fraction):
+    """One trade as execute_buy/execute_sell computed it before the shared kernel."""
+    if action == Action.BUY:
+        unit_cost = price * (1.0 + rate)
+        bought = math.floor((buy_fraction * portfolio.cash) / unit_cost)
+        if bought <= 0:
+            return portfolio
+        total = bought * unit_cost
+        while bought > 0 and total > portfolio.cash:
+            bought -= 1
+            total = bought * unit_cost
+        if bought <= 0:
+            return portfolio
+        return Portfolio(portfolio.cash - total, portfolio.shares + bought)
+    if action == Action.SELL:
+        sold = min(portfolio.shares, math.floor(sell_fraction * portfolio.shares))
+        if sold <= 0:
+            return portfolio
+        return Portfolio(portfolio.cash + sold * price * (1.0 - rate), portfolio.shares - sold)
+    return portfolio
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def trading_inputs(draw):
+    """Prices, one action per close, a start portfolio, a cost rate and buy/sell fractions."""
+    n = draw(st.integers(2, 30))
+    prices = draw(st.lists(st.floats(0.01, 1e4), min_size=n, max_size=n))
+    actions = draw(st.lists(st.sampled_from(list(Action)), min_size=n, max_size=n))
+    cash = draw(st.floats(0.01, 1e6))
+    shares = draw(st.integers(0, 1_000))
+    rate = draw(st.floats(0.0, 1.0, exclude_max=True))
+    fraction = st.floats(0.0, 1.0, exclude_min=True)
+    return prices, actions, cash, shares, rate, (draw(fraction), draw(fraction))
+
+
+# floor(55257.84 / 418.62) whole shares cost more than 55257.84 after rounding,
+# so the buy's rounding guard has to give one back.
+ROUNDING_GUARD = ([418.62, 420.0], [Action.BUY, Action.HOLD], 55257.84, 0, 0.0, (1.0, 1.0))
+
+
+class TestStepAndSimulateMatchReference:
+    """TradingEnv.step and simulate against execute_action + wealth, step by step."""
+
+    def test_rounding_guard_case_needs_the_guard(self):
+        prices, _, cash, *_ = ROUNDING_GUARD
+        assert math.floor(cash / prices[0]) * prices[0] > cash
+        assert execute_buy(Portfolio(cash, 0), prices[0]).shares == math.floor(cash / prices[0]) - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(trading_inputs(), st.sampled_from(["percentage", "absolute"]))
+    @example(ROUNDING_GUARD, "percentage")
+    def test_step_equals_reference(self, inputs, reward_mode):
+        prices, actions, cash, shares, rate, fractions = inputs
+        costs = CostModel(rate)
+        env = TradingEnv(make_window(prices), cash, costs, reward_mode, *fractions, shares)
+        state, _ = env.reset()
+        portfolio, wealth_prev = Portfolio(cash, shares), cash + shares * prices[0]
+        got, want = [], []
+        for t, action in enumerate(actions[:-1]):
+            state, _, reward, done = env.step(state, action)
+            expected = reference_execute(portfolio, action, prices[t], rate, *fractions)
+            assert execute_action(portfolio, action, prices[t], costs, *fractions) == expected
+            portfolio = expected
+            marked = wealth(portfolio, prices[t + 1])
+            if reward_mode == "percentage":
+                expected_reward = (marked - wealth_prev) / wealth_prev
+            else:
+                expected_reward = marked - wealth_prev
+            wealth_prev = marked
+            last = t + 2 == len(prices)
+            assert (state.step_index, state.done, done) == (t + 1, last, last)
+            assert state.portfolio.shares == portfolio.shares
+            got += [state.portfolio.cash, state.wealth_prev, reward]
+            want += [portfolio.cash, marked, expected_reward]
+        assert bits(got) == bits(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trading_inputs())
+    @example(ROUNDING_GUARD)
+    def test_simulate_equals_reference(self, inputs):
+        prices, actions, cash, shares, rate, fractions = inputs
+        dates = make_window(prices).dates
+        seen = []
+
+        def decide(t, portfolio):
+            seen.append(portfolio)
+            return actions[t]
+
+        start = Portfolio(cash, shares)
+        curve, fills = simulate(prices, dates, start, decide, CostModel(rate), *fractions)
+        portfolio, want_seen, want_values, want_fills = start, [], [], []
+        for t, price in enumerate(prices):
+            want_seen.append(portfolio)
+            after = reference_execute(portfolio, actions[t], price, rate, *fractions)
+            delta = after.shares - portfolio.shares
+            if delta:
+                side = "buy" if delta > 0 else "sell"
+                want_fills.append(Fill(dates[t], side, abs(delta), price, abs(delta) * price * rate))
+            portfolio = after
+            want_values.append(wealth(portfolio, price))
+        assert [p.shares for p in seen] == [p.shares for p in want_seen]
+        assert bits([p.cash for p in seen]) == bits([p.cash for p in want_seen])
+        assert bits(curve.values) == bits(want_values)
+        assert fills == want_fills
+        assert bits([f.cost for f in fills]) == bits([f.cost for f in want_fills])
