@@ -20,6 +20,7 @@ import numpy as np
 
 from .market_data import (
     BarSeries,
+    NORMALIZATION_MODES,
     NormalizationMode,
     Normalizer,
     SYNTHETIC_KINDS,
@@ -34,6 +35,7 @@ from .market_data import (
     sma,
 )
 from .metrics import (
+    DAY_COUNTS,
     EquityCurve,
     Fill,
     MetricsReport,
@@ -49,41 +51,39 @@ from .rl_agents import (
     HistoryRow,
     QTable,
     TrainConfig,
+    _check_outputs,
     baseline_buy_and_hold,
     baseline_sma_crossover,
+    select_action,
     simulate,
     train_dqn,
     train_qlearning,
     write_history,
 )
-from .trading_env import Action, CostModel, MarketWindow, TradingEnv
+from .trading_env import Action, CostModel, MarketWindow, REWARD_MODES, TradingEnv
 
-AGENT_KINDS = ("qtable", "dqn", "buy_and_hold", "sma_crossover")
-LEARNING_AGENTS = ("qtable", "dqn")
+# Learning agent -> (artifact file name, writer(artifact, path), reader(path)).
+_ARTIFACTS: dict[str, tuple[str, Callable, Callable]] = {
+    "qtable": ("qtable.csv", QTable.save, QTable.load),
+    "dqn": ("checkpoint_dqn.txt", save_checkpoint, load_checkpoint),
+}
+LEARNING_AGENTS = tuple(_ARTIFACTS)
+AGENT_KINDS = (*LEARNING_AGENTS, "buy_and_hold", "sma_crossover")
 
-# Metric name in the comparison table -> MetricsReport field (and metrics.json key).
-_COMPARE_SOURCE = {
-    "roi": "roi",
-    "cumulative_return": "cumulative_return",
-    "sharpe": "sharpe",
-    "max_drawdown": "max_drawdown",
-    "adr": "avg_daily_return",
-    "adtv": "adtv",
-    "profit_factor": "profit_factor",
-    "winning_pct": "winning_pct",
-    "ahp": "avg_holding_days",
+# Compared column -> (MetricsReport field it shows, which is also its metrics.json
+# key; max or min to pick the winner, or None for an informational column).
+_COMPARED: dict[str, tuple[str, Callable | None]] = {
+    "roi": ("roi", max),
+    "cumulative_return": ("cumulative_return", max),
+    "sharpe": ("sharpe", max),
+    "max_drawdown": ("max_drawdown", min),
+    "adr": ("avg_daily_return", max),
+    "adtv": ("adtv", None),
+    "profit_factor": ("profit_factor", max),
+    "winning_pct": ("winning_pct", max),
+    "ahp": ("avg_holding_days", None),
 }
-COMPARE_COLUMNS = ("strategy", *_COMPARE_SOURCE)
-# Higher is better unless flipped; adtv and ahp are informational only.
-_COMPARE_DIRECTION = {
-    "roi": max,
-    "cumulative_return": max,
-    "sharpe": max,
-    "max_drawdown": min,
-    "adr": max,
-    "profit_factor": max,
-    "winning_pct": max,
-}
+COMPARE_COLUMNS = ("strategy", *_COMPARED)
 
 
 class ConfigError(ValueError):
@@ -178,10 +178,10 @@ CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
 _SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
 # Allowed values of the string-valued keys.
 _CHOICES = {
-    "normalization": ("unit_range", "signed_range"),
+    "normalization": NORMALIZATION_MODES,
     "return_field": ("close", "adj_close"),
-    "reward_mode": ("percentage", "absolute"),
-    "holding_day_count": ("calendar", "trading"),
+    "reward_mode": REWARD_MODES,
+    "holding_day_count": DAY_COUNTS,
 }
 
 
@@ -508,7 +508,7 @@ def train_agent(
     if cfg.agent == "qtable":
         discretizer = Discretizer.uniform(train_window.obs_dim, cfg.state_cuts)
         return train_qlearning(env, cfg, discretizer)
-    net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, 3), seed=cfg.seed)
+    net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, len(Action)), seed=cfg.seed)
     return train_dqn(env, cfg, net)
 
 
@@ -519,13 +519,22 @@ def greedy_policy(
 
     Each action is what `select_action(values, 0.0)` picks from that row's
     action values, ties to the lowest index. The network's values come from
-    `_row_forward`, equal to per-row `forward`.
+    `_row_forward`, equal to per-row `forward`. An artifact that does not fit
+    observations of width `obs_dim` binned by cfg.state_cuts is a ValueError.
     """
     if cfg.agent == "qtable":
         assert isinstance(artifact, QTable)
+        bins = len(cfg.state_cuts)
+        for key, _ in artifact.items():
+            if len(key) != obs_dim or not all(0 <= i <= bins for i in key):
+                raise ValueError(
+                    f"q-table state {'-'.join(map(str, key))} does not fit the observations: "
+                    f"expected {obs_dim} bin indices in 0..{bins}"
+                )
         discretizer = Discretizer.uniform(obs_dim, cfg.state_cuts)
-        return lambda obs: [int(np.argmax(artifact.action_values(discretizer(o)))) for o in obs]
+        return lambda obs: [select_action(artifact.action_values(discretizer(o)), 0.0) for o in obs]
     assert isinstance(artifact, Mlp)
+    _check_outputs(artifact)
     return lambda obs: np.argmax(_row_forward(artifact, obs), axis=1).tolist()
 
 
@@ -547,7 +556,6 @@ def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fil
 
 @dataclass
 class StrategyResult:
-    name: str
     train_metrics: MetricsReport
     test_metrics: MetricsReport
     test_curve: EquityCurve
@@ -616,7 +624,7 @@ def _strategy_result(
 ) -> StrategyResult:
     train_metrics = _window_result(cfg, kind, artifact, prepared.bars, prepared.train_window)[0]
     test = _window_result(cfg, kind, artifact, prepared.bars, prepared.test_window)
-    return StrategyResult(kind, train_metrics, *test)
+    return StrategyResult(train_metrics, *test)
 
 
 def run_experiment(
@@ -709,7 +717,7 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
     names = ["config_echo.json", "history.csv"]
     for name, windows in doc["strategies"].items():
         test = windows.get("test") if isinstance(windows, dict) else None
-        if not isinstance(test, dict) or not set(_COMPARE_SOURCE.values()) <= set(test):
+        if not isinstance(test, dict) or any(key not in test for key, _ in _COMPARED.values()):
             raise ValueError(f"{path}: strategy {name!r} lacks complete test metrics")
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
@@ -720,7 +728,7 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
 
 def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
     """Read the trained artifact of cfg's learning agent, as emit_training wrote it."""
-    return load_checkpoint(path) if cfg.agent == "dqn" else QTable.load(path)
+    return _ARTIFACTS[cfg.agent][2](path)
 
 
 def emit_training(
@@ -740,12 +748,10 @@ def emit_training(
     written = [out / "config_echo.json", out / "history.csv"]
     written[0].write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
     write_history(history, written[1])
-    if isinstance(artifact, Mlp):
-        written.append(out / "checkpoint_dqn.txt")
-        save_checkpoint(artifact, written[-1])
-    elif isinstance(artifact, QTable):
-        written.append(out / "qtable.csv")
-        artifact.save(written[-1])
+    if artifact is not None:
+        name, write, _ = _ARTIFACTS[cfg.agent]
+        written.append(out / name)
+        write(artifact, written[-1])
     return written
 
 
@@ -845,12 +851,14 @@ def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTab
             test = windows["test"]
             rows.append(
                 {"strategy": label}
-                | {col: decode_metric(test[key]) for col, key in _COMPARE_SOURCE.items()}
+                | {col: decode_metric(test[key]) for col, (key, _) in _COMPARED.items()}
             )
     if not rows:
         raise ValueError("nothing to compare")
     winners: dict[str, str] = {}
-    for col, pick in _COMPARE_DIRECTION.items():
+    for col, (_, pick) in _COMPARED.items():
+        if pick is None:
+            continue
         defined = [(row[col], row["strategy"]) for row in rows if row[col] is not None]
         if defined:
             best = pick(v for v, _ in defined)

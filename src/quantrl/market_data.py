@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -24,6 +24,7 @@ CSV_COLUMNS_NO_ADJ = ("Date", "Open", "High", "Low", "Close", "Volume")
 SYNTHETIC_KINDS = ("sinusoid", "trend", "gbm")
 
 NormalizationMode = Literal["unit_range", "signed_range"]
+NORMALIZATION_MODES = get_args(NormalizationMode)
 
 
 class DataError(ValueError):
@@ -202,7 +203,7 @@ class Normalizer:
     mode: NormalizationMode = "signed_range"
 
     def __post_init__(self) -> None:
-        if self.mode not in ("unit_range", "signed_range"):
+        if self.mode not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization mode {self.mode!r}")
         if not (self.min_x < self.max_x):
             raise ValueError("degenerate range: min_x must be strictly below max_x")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Sequence
 
@@ -19,19 +19,8 @@ from .trading_env import roi as _roi
 
 UNDEFINED_MARKER = "undefined"
 INF_MARKER = "inf"
-
-REPORT_FIELDS = (
-    "roi",
-    "cumulative_return",
-    "sharpe",
-    "max_drawdown",
-    "avg_daily_return",
-    "adtv",
-    "agent_adtv",
-    "profit_factor",
-    "winning_pct",
-    "avg_holding_days",
-)
+# How holding periods may be counted: calendar days or trading days.
+DAY_COUNTS = ("calendar", "trading")
 
 
 @dataclass(frozen=True)
@@ -125,6 +114,9 @@ class MetricsReport:
     @classmethod
     def from_dict(cls, raw: dict) -> "MetricsReport":
         return cls(**{name: decode_metric(raw[name]) for name in REPORT_FIELDS})
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def encode_metric(value: float | None) -> float | str:
@@ -267,7 +259,7 @@ def match_trades(
     mark_to_market; if no final price is given they are left open and
     omitted from the result.
     """
-    if day_count not in ("calendar", "trading"):
+    if day_count not in DAY_COUNTS:
         raise ValueError(f"unknown day_count {day_count!r}")
     index_of = None
     if day_count == "trading":

@@ -241,6 +241,8 @@ def load_checkpoint(path: str | Path) -> Mlp:
         raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
     if len(sizes) < 2:
         raise ValueError(f"{path}: checkpoint needs at least two layer sizes")
+    if any(s < 1 for s in sizes):
+        raise ValueError(f"{path}: all layer sizes must be >= 1")
     expected = sum(i * o + o for i, o in zip(sizes, sizes[1:]))
     if len(values) != expected:
         raise ValueError(f"{path}: expected {expected} parameters, found {len(values)}")

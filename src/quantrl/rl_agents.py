@@ -10,7 +10,7 @@ seeded generator, so identical seeds give identical training runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -26,10 +26,9 @@ StateKey = tuple[int, ...]
 
 _ACTIONS = tuple(Action)
 # What an unvisited state reads as; shared, so it is read-only.
-_ZERO_ROW = np.zeros(3)
+_ZERO_ROW = np.zeros(len(Action))
 _ZERO_ROW.flags.writeable = False
-
-HISTORY_HEADER = "episode,epsilon,mean_loss,roi"
+_QTABLE_HEADER = "state_key,q_hold,q_buy,q_sell"
 
 
 class Env(Protocol):
@@ -208,6 +207,9 @@ class HistoryRow:
     roi: float
 
 
+HISTORY_HEADER = ",".join(f.name for f in fields(HistoryRow))
+
+
 def write_history(rows: Sequence[HistoryRow], path: str | Path) -> None:
     lines = [HISTORY_HEADER]
     for row in rows:
@@ -267,7 +269,7 @@ def discretize(obs: np.ndarray, cuts: Sequence[Sequence[float]]) -> StateKey:
 
 
 class QTable:
-    """State-key to 3-vector of action values; unvisited states read as zero."""
+    """State key to one value per action; unvisited states read as zero."""
 
     def __init__(self) -> None:
         self._q: dict[StateKey, np.ndarray] = {}
@@ -283,7 +285,7 @@ class QTable:
     def _writable(self, key: StateKey) -> np.ndarray:
         stored = self._q.get(key)
         if stored is None:
-            stored = np.zeros(3)
+            stored = np.zeros(len(Action))
             self._q[key] = stored
         return stored
 
@@ -291,24 +293,23 @@ class QTable:
         return self._q.items()
 
     def save(self, path: str | Path) -> None:
-        lines = ["state_key,q_hold,q_buy,q_sell"]
+        lines = [_QTABLE_HEADER]
         for key in sorted(self._q):
-            q = self._q[key]
             key_text = "-".join(str(i) for i in key)
-            lines.append(f"{key_text},{repr(float(q[0]))},{repr(float(q[1]))},{repr(float(q[2]))}")
+            lines.append(",".join([key_text, *(repr(float(v)) for v in self._q[key])]))
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "QTable":
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not lines or lines[0] != "state_key,q_hold,q_buy,q_sell":
+        if not lines or lines[0] != _QTABLE_HEADER:
             raise ValueError(f"{path}: not a q-table file")
         table = cls()
         for line in lines[1:]:
             if not line:
                 continue
             key_text, *values = line.split(",")
-            if len(values) != 3:
+            if len(values) != len(Action):
                 raise ValueError(f"{path}: malformed row {line!r}")
             key = tuple(int(tok) for tok in key_text.split("-"))
             q = np.array([float(v) for v in values])
@@ -359,7 +360,7 @@ def select_action(
         if rng is None:
             raise ValueError("epsilon > 0 requires a random generator")
         if rng.random() < epsilon:
-            return _ACTIONS[rng.integers(0, 3)]
+            return _ACTIONS[rng.integers(0, len(_ACTIONS))]
     return _ACTIONS[np.asarray(values, dtype=float).argmax()]
 
 
@@ -438,6 +439,12 @@ def _dqn_step(
     return loss
 
 
+def _check_outputs(net: Mlp) -> None:
+    """A Q-network has one output per action."""
+    if net.layer_sizes[-1] != len(Action):
+        raise ValueError(f"network must emit one value per action ({len(Action)} outputs)")
+
+
 # A diverging update overflows; the finite checks report that, not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def train_dqn(
@@ -454,8 +461,7 @@ def train_dqn(
     """
     if cfg.batch_size > cfg.buffer_capacity:
         raise ValueError("batch_size cannot exceed buffer_capacity")
-    if net.layer_sizes[-1] != 3:
-        raise ValueError("network must emit one value per action (3 outputs)")
+    _check_outputs(net)
     rng = np.random.default_rng(cfg.seed)
     schedule = _schedule_for(env, cfg)
     target_net = clone_parameters(net)

@@ -22,6 +22,8 @@ class Action(IntEnum):
 
 
 _HOLD, _BUY, _SELL = (int(a) for a in Action)
+# A step's reward: the fractional or the absolute change in marked wealth.
+REWARD_MODES = ("percentage", "absolute")
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ class TradingEnv:
             raise ValueError("initial cash must be positive")
         if self.initial_shares < 0:
             raise ValueError("initial shares must be non-negative")
-        if self.reward_mode not in ("percentage", "absolute"):
+        if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
         if not (0.0 < self.buy_fraction <= 1.0 and 0.0 < self.sell_fraction <= 1.0):
             raise ValueError("buy/sell fractions must be in (0, 1]")

@@ -13,8 +13,8 @@ differently under another BLAS build).
 The grid crosses the four agents with an 8-row two-level orthogonal array
 over data source, cost, fractions, opening shares, reward mode, holding-day
 count and indicators, so every pair of settings occurs. A `quantrl synth`
-per kind, a `train` and an `evaluate --checkpoint` per learner, a diverging
-DQN and a `compare` ride along.
+per kind, an `ingest` of the grid's CSV, a `train` and an `evaluate
+--checkpoint` per learner, a diverging DQN and a `compare` ride along.
 Every path in a config or argument is relative to the work directory, so no
 emitted byte depends on where the grid runs.
 """
@@ -101,6 +101,8 @@ def cases() -> list[tuple[str, list[str], str]]:
     """(name, CLI argv, output path) per case, in the order they must run."""
     out = [
         ("synth-gbm", CSV_SYNTH, "prices.csv"),
+        # ingest writes nothing: its pins are the exit code and the summary line
+        ("ingest", ["ingest", "--csv", "prices.csv"], "ingest"),
         *[(f"synth-{kind}", ["synth", "--kind", kind, "--length", "60", "--drift", "0.01",
                              "--out", f"{kind}.csv"], f"{kind}.csv")
           for kind in ("sinusoid", "trend")],

@@ -79,6 +79,21 @@ def edit_test_metrics(change):
     return edit
 
 
+def missing_file(name):
+    """A case comparing a copy of the good report without file `name`."""
+    return (
+        lambda tmp, r: ["compare", broken_report(tmp, r, lambda d: (d / name).unlink())],
+        "report", f"broken: incomplete report, missing {re.escape(name)}")
+
+
+def evaluate_artifact(agent, name, text, *overrides):
+    """An evaluate argv loading `text`, written to `name`, as `agent`'s artifact."""
+    return lambda tmp, r: ["evaluate", "--config", config_file(tmp, agent),
+                           "--checkpoint", write(tmp / name, text), *overrides]
+
+
+QTABLE_3_WIDE = "state_key,q_hold,q_buy,q_sell\n1-1-1,0.0,1.0,0.0\n"
+
 BAD_ROW_CSV = (
     "Date,Open,High,Low,Close,Adj Close,Volume\n"
     "2020-01-01,10,11,9,10.5,10.4,1000\n"
@@ -129,17 +144,27 @@ CASES = {
                         "--checkpoint", tmp / "nope.txt"],
         "evaluate", "No such file"),
     "evaluate-corrupt-checkpoint": (
-        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
-                        "--checkpoint", write(tmp / "ck.txt", "junk\n")],
-        "evaluate", "not a .* checkpoint"),
+        evaluate_artifact("dqn", "ck.txt", "junk\n"), "evaluate", "not a .* checkpoint"),
     "evaluate-wrong-width-checkpoint": (
-        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
-                        "--checkpoint", write(tmp / "ck.txt", "quantrl-mlp-v1\n2 3\n" + "0.5\n" * 9)],
+        evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n2 3\n" + "0.5\n" * 9),
         "evaluate", "input width 10 does not match first layer size 2"),
+    "evaluate-zero-width-layer": (
+        evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n10 0 3\n" + "0.5\n" * 3),
+        "evaluate", "ck.txt: all layer sizes must be >= 1"),
+    "evaluate-two-output-checkpoint": (
+        evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n10 2\n" + "0.5\n" * 22),
+        "evaluate", r"network must emit one value per action \(3 outputs\)"),
+    # trained under window 3, evaluated under window 5: no key would match
+    "evaluate-qtable-wrong-width": (
+        evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE, "--window=5"),
+        "evaluate", "q-table state 1-1-1 does not fit the observations: "
+                    r"expected 5 bin indices in 0\.\.2"),
+    # two cut points make bins 0..2
+    "evaluate-qtable-bin-out-of-range": (
+        evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE.replace("1-1-1", "0-3-0")),
+        "evaluate", "q-table state 0-3-0 does not fit the observations"),
     "evaluate-corrupt-qtable": (
-        lambda tmp, r: ["evaluate", "--config", config_file(tmp, "qtable"),
-                        "--checkpoint", write(tmp / "q.csv", "junk\n")],
-        "evaluate", "not a q-table file"),
+        evaluate_artifact("qtable", "q.csv", "junk\n"), "evaluate", "not a q-table file"),
     "compare-missing-metrics": (
         lambda tmp, r: ["compare", tmp], "report", r"metrics\.json: \[Errno 2\]"),
     "compare-invalid-json": (
@@ -160,13 +185,10 @@ CASES = {
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows["test"].update(roi=[1])))],
         "report", r"float\(\) argument must be"),
-    "compare-missing-equity": (
-        lambda tmp, r: ["compare", broken_report(
-            tmp, r, lambda d: (d / "equity_buy_and_hold.csv").unlink())],
-        "report", "broken: incomplete report, missing equity_buy_and_hold.csv"),
-    "compare-missing-history": (
-        lambda tmp, r: ["compare", broken_report(tmp, r, lambda d: (d / "history.csv").unlink())],
-        "report", "broken: incomplete report, missing history.csv"),
+    "compare-missing-config-echo": missing_file("config_echo.json"),
+    "compare-missing-history": missing_file("history.csv"),
+    "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),
+    "compare-missing-trades": missing_file("trades_buy_and_hold.csv"),
     "compare-mismatched-windows": (
         lambda tmp, r: ["compare", r / "good", r / "other"],
         "report", "test windows differ: other:buy_and_hold covers"),
