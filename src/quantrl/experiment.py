@@ -595,15 +595,15 @@ def _window_result(
             window_bars, cfg.fast_period, cfg.slow_period, cfg.initial_cash, cfg.cost_model()
         )
     # Learning agents start with cfg.initial_shares (baselines start flat);
-    # FIFO matching opens those as one zero-cost lot at the first close.
+    # the ledger opens with them as one zero-cost buy at the first close.
     opening = cfg.initial_shares if kind in LEARNING_AGENTS else 0
+    ledger = [Fill(window.dates[0], "buy", opening, float(window.prices[0]))] if opening else []
     trades = match_trades(
-        fills,
+        [*ledger, *fills],
         final_price=float(window.prices[-1]),
         final_date=window.dates[-1],
         day_count=cfg.holding_day_count,
         trading_dates=window.dates if cfg.holding_day_count == "trading" else None,
-        opening_lot=(window.dates[0], opening, float(window.prices[0])) if opening else None,
     )
     metrics = compute_report(
         curve,
@@ -614,17 +614,6 @@ def _window_result(
         trades=trades,
     )
     return metrics, curve, trades
-
-
-def _strategy_result(
-    cfg: ExperimentConfig,
-    kind: str,
-    artifact: Mlp | QTable | None,
-    prepared: PreparedData,
-) -> StrategyResult:
-    train_metrics = _window_result(cfg, kind, artifact, prepared.bars, prepared.train_window)[0]
-    test = _window_result(cfg, kind, artifact, prepared.bars, prepared.test_window)
-    return StrategyResult(train_metrics, *test)
 
 
 def run_experiment(
@@ -645,9 +634,11 @@ def run_experiment(
             artifact, history = train_agent(cfg, prepared.train_window)
 
     with stage("evaluate"):
-        strategies = {cfg.agent: _strategy_result(cfg, cfg.agent, artifact, prepared)}
-        if cfg.agent != "buy_and_hold":
-            strategies["buy_and_hold"] = _strategy_result(cfg, "buy_and_hold", None, prepared)
+        strategies = {}
+        for kind in dict.fromkeys((cfg.agent, "buy_and_hold")):
+            train_metrics = _window_result(cfg, kind, artifact, prepared.bars, prepared.train_window)[0]
+            test = _window_result(cfg, kind, artifact, prepared.bars, prepared.test_window)
+            strategies[kind] = StrategyResult(train_metrics, *test)
 
     return Report(cfg, strategies, history, artifact)
 

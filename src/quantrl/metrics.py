@@ -247,17 +247,15 @@ def match_trades(
     final_date: date | None = None,
     day_count: str = "calendar",
     trading_dates: Sequence[date] | None = None,
-    opening_lot: tuple[date, int, float] | None = None,
 ) -> list[RoundTripTrade]:
     """FIFO pairing of fills into round-trip trades.
 
     Each sell consumes the oldest open buy lots; partially consumed lots
-    split, with fill costs allocated pro rata by shares. `opening_lot`
-    (date, shares, price) is a position held before the first fill; it is
-    the oldest lot and carries no cost. Lots still open at the end are
-    closed synthetically at final_price/final_date and flagged
-    mark_to_market; if no final price is given they are left open and
-    omitted from the result.
+    split, with fill costs allocated pro rata by shares. A position held
+    before the window enters as a zero-cost buy fill at its first close.
+    Lots still open at the end are closed by a zero-cost sell of the whole
+    position at final_price/final_date, flagged mark_to_market; if no final
+    price is given they are left open and omitted from the result.
     """
     if day_count not in DAY_COUNTS:
         raise ValueError(f"unknown day_count {day_count!r}")
@@ -268,23 +266,8 @@ def match_trades(
         index_of = {d: i for i, d in enumerate(trading_dates)}
     open_lots: deque[list] = deque()  # [date, shares_left, price, cost_left]
     trades: list[RoundTripTrade] = []
-    position = 0
-    previous: date | None = None
-    if opening_lot is not None:
-        previous, position, price = opening_lot
-        if position <= 0 or price <= 0:
-            raise ValueError("opening lot needs positive shares and price")
-        open_lots.append([previous, position, price, 0.0])
-    for fill in fills:
-        if previous is not None and fill.date < previous:
-            raise ValueError("fills out of chronological order")
-        previous = fill.date
-        if fill.side == "buy":
-            open_lots.append([fill.date, fill.shares, fill.price, fill.cost])
-            position += fill.shares
-            continue
-        if fill.shares > position:
-            raise ValueError(f"{fill.date}: sell of {fill.shares} exceeds open position {position}")
+
+    def sell(fill: Fill, mark_to_market: bool = False) -> None:
         remaining = fill.shares
         while remaining > 0:
             lot = open_lots[0]
@@ -300,6 +283,7 @@ def match_trades(
                     exit_price=fill.price,
                     profit=take * (fill.price - lot[2]) - buy_cost - sell_cost,
                     holding_days=_holding_days(lot[0], fill.date, day_count, index_of),
+                    mark_to_market=mark_to_market,
                 )
             )
             lot[1] -= take
@@ -307,25 +291,25 @@ def match_trades(
             if lot[1] == 0:
                 open_lots.popleft()
             remaining -= take
+
+    position = 0
+    previous: date | None = None
+    for fill in fills:
+        if previous is not None and fill.date < previous:
+            raise ValueError("fills out of chronological order")
+        previous = fill.date
+        if fill.side == "buy":
+            open_lots.append([fill.date, fill.shares, fill.price, fill.cost])
+            position += fill.shares
+            continue
+        if fill.shares > position:
+            raise ValueError(f"{fill.date}: sell of {fill.shares} exceeds open position {position}")
+        sell(fill)
         position -= fill.shares
-    if open_lots and final_price is not None:
+    if position and final_price is not None:
         if final_date is None:
             raise ValueError("final_price given without final_date")
-        if final_price <= 0:
-            raise ValueError("final price must be positive")
-        for lot in open_lots:
-            trades.append(
-                RoundTripTrade(
-                    entry_date=lot[0],
-                    exit_date=final_date,
-                    shares=lot[1],
-                    entry_price=lot[2],
-                    exit_price=final_price,
-                    profit=lot[1] * (final_price - lot[2]) - lot[3],
-                    holding_days=_holding_days(lot[0], final_date, day_count, index_of),
-                    mark_to_market=True,
-                )
-            )
+        sell(Fill(final_date, "sell", position, final_price), mark_to_market=True)
     return trades
 
 

@@ -295,23 +295,22 @@ class TestMatchTrades:
         assert residual.holding_days == 7.0
 
     def test_opening_lot_matched_first_at_zero_cost(self):
-        # 5 shares held before the first fill: the sell of 7 takes them, then 2 of the buy
+        # 5 shares held before the first fill, as a zero-cost opening buy: the
+        # sell of 7 takes them, then 2 of the later buy
         fills = [
+            Fill(date(2020, 1, 1), "buy", 5, 10.0),
             Fill(date(2020, 1, 2), "buy", 10, 11.0, cost=1.0),
             Fill(date(2020, 1, 4), "sell", 7, 12.0),
         ]
-        trades = match_trades(
-            fills, final_price=13.0, final_date=date(2020, 1, 6),
-            opening_lot=(date(2020, 1, 1), 5, 10.0),
-        )
+        trades = match_trades(fills, final_price=13.0, final_date=date(2020, 1, 6))
         assert [(t.entry_date, t.shares, t.entry_price, t.mark_to_market) for t in trades] == [
             (date(2020, 1, 1), 5, 10.0, False),
             (date(2020, 1, 2), 2, 11.0, False),
             (date(2020, 1, 2), 8, 11.0, True),
         ]
         assert trades[0].profit == 5 * (12.0 - 10.0)
-        with pytest.raises(ValueError, match="opening lot"):
-            match_trades(fills, opening_lot=(date(2020, 1, 1), 0, 10.0))
+        with pytest.raises(ValueError, match="fill shares must be positive"):
+            Fill(date(2020, 1, 1), "buy", 0, 10.0)
 
     def test_open_only_marked_to_market(self):
         fills = [Fill(date(2020, 1, 1), "buy", 100, 10.0)]

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from quantrl.experiment import config_from_dict, load_bars, make_env as make_config_env, prepare_train
 from quantrl.market_data import generate_synthetic
-from quantrl.metrics import match_trades
+from quantrl.metrics import Fill, match_trades
 
 from quantrl.neural_net import Mlp, backward, clone_parameters, forward, init_mlp, sgd_step
 from quantrl.rl_agents import (
@@ -751,8 +751,8 @@ class TestSimulate:
     def test_matched_shares_sum_to_bought_shares(self, inputs, rate):
         prices, _, _, shares, _ = inputs
         dates, _, _, fills = run_simulation(*inputs, costs=CostModel(rate))
-        opening = (dates[0], shares, prices[0]) if shares else None
-        trades = match_trades(fills, prices[-1], dates[-1], opening_lot=opening)
+        opening = [Fill(dates[0], "buy", shares, prices[0])] if shares else []
+        trades = match_trades([*opening, *fills], prices[-1], dates[-1])
         bought = shares + sum(f.shares for f in fills if f.side == "buy")
         assert sum(t.shares for t in trades) == bought
 
