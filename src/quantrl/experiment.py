@@ -589,15 +589,18 @@ def _window_result(
         policy = greedy_policy(cfg, artifact, window.obs_dim)
         curve, fills = run_policy(make_env(cfg, window), policy)
     elif kind == "buy_and_hold":
-        curve, fills = baseline_buy_and_hold(window_bars, cfg.initial_cash, cfg.cost_model())
+        curve, fills = baseline_buy_and_hold(
+            window_bars, cfg.initial_cash, cfg.cost_model(), cfg.initial_shares
+        )
     else:
         curve, fills = baseline_sma_crossover(
-            window_bars, cfg.fast_period, cfg.slow_period, cfg.initial_cash, cfg.cost_model()
+            window_bars, cfg.fast_period, cfg.slow_period, cfg.initial_cash, cfg.cost_model(),
+            cfg.initial_shares,
         )
-    # Learning agents start with cfg.initial_shares (baselines start flat);
-    # the ledger opens with them as one zero-cost buy at the first close.
-    opening = cfg.initial_shares if kind in LEARNING_AGENTS else 0
-    ledger = [Fill(window.dates[0], "buy", opening, float(window.prices[0]))] if opening else []
+    # Every strategy starts with cfg.initial_shares; the ledger opens with
+    # them as one zero-cost buy at the first close.
+    shares = cfg.initial_shares
+    ledger = [Fill(window.dates[0], "buy", shares, float(window.prices[0]))] if shares else []
     trades = match_trades(
         [*ledger, *fills],
         final_price=float(window.prices[-1]),

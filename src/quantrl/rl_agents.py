@@ -539,17 +539,21 @@ def baseline_buy_and_hold(
     bars: BarSeries,
     initial_cash: float,
     costs: CostModel = ZERO_COST,
+    initial_shares: int = 0,
 ) -> tuple[EquityCurve, list[Fill]]:
-    """Buy maximal whole shares at the first affordable close, hold to the end."""
+    """Keep the opening shares, buy maximal whole shares with the cash at the
+    first affordable close, hold to the end."""
     if len(bars) < 2:
         raise ValueError("need at least 2 bars")
     if initial_cash <= 0:
         raise ValueError("initial cash must be positive")
 
     def decide(t: int, portfolio: Portfolio) -> Action:
-        return Action.BUY if portfolio.shares == 0 else Action.HOLD
+        return Action.BUY if portfolio.shares == initial_shares else Action.HOLD
 
-    return simulate(bars.closes(), bars.dates(), Portfolio(initial_cash, 0), decide, costs)
+    return simulate(
+        bars.closes(), bars.dates(), Portfolio(initial_cash, initial_shares), decide, costs
+    )
 
 
 def baseline_sma_crossover(
@@ -558,10 +562,12 @@ def baseline_sma_crossover(
     slow_period: int,
     initial_cash: float,
     costs: CostModel = ZERO_COST,
+    initial_shares: int = 0,
 ) -> tuple[EquityCurve, list[Fill]]:
     """All-in long while the fast SMA exceeds the slow SMA, flat otherwise.
 
-    Trades at the close of the day the crossing is observed.
+    Trades at the close of the day the crossing is observed. Opening shares
+    count as long, so they are sold at the first close without a long signal.
     """
     if not 1 <= fast_period < slow_period:
         raise ValueError("need slow_period > fast_period >= 1")
@@ -580,4 +586,4 @@ def baseline_sma_crossover(
             return Action.HOLD
         return Action.BUY if long_signal[t] else Action.SELL
 
-    return simulate(closes, bars.dates(), Portfolio(initial_cash, 0), decide, costs)
+    return simulate(closes, bars.dates(), Portfolio(initial_cash, initial_shares), decide, costs)

@@ -975,6 +975,40 @@ class TestCli:
         assert opening and rows[0][3] == repr(float(generate_synthetic(**synthetic).closes()[100]))
         assert sum(int(r[2]) for r in opening) <= 5
 
+    @pytest.mark.parametrize("agent", ["qtable", "sma_crossover"])
+    def test_every_strategy_starts_from_the_opening_position(self, tmp_path, capsys, agent):
+        synthetic = {"kind": "gbm", "length": 160, "seed": 3, "drift": 0.05, "volatility": 0.25}
+        bars = generate_synthetic(**synthetic)
+        dates, closes = bars.dates(), bars.closes()
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "data": {"synthetic": synthetic},
+            "agent": agent,
+            "episodes": 2,
+            "initial_cash": 1000.0,
+            "initial_shares": 5,
+            "fast_period": 3,
+            "slow_period": 8,
+            "train_start": dates[0].isoformat(),
+            "train_end": dates[99].isoformat(),
+            "test_start": dates[100].isoformat(),
+            "test_end": dates[-1].isoformat(),
+        }))
+        out = tmp_path / "report"
+        code, _, err = self.run_cli(capsys, "run", "--config", str(config), "--out", str(out))
+        assert code == 0, err
+        # at zero cost, trading at the first close keeps the opening wealth
+        for strategy in (agent, "buy_and_hold"):
+            first = (out / f"equity_{strategy}.csv").read_text().splitlines()[1].split(",")
+            assert float(first[1]) == pytest.approx(1000.0 + 5 * closes[100], rel=1e-12)
+        # buy-and-hold keeps the 5 opening shares as their own lot, marked to market
+        rows = [line.split(",") for line in (out / "trades_buy_and_hold.csv").read_text().splitlines()[1:]]
+        assert rows[0] == [
+            dates[100].isoformat(), dates[-1].isoformat(), "5", repr(float(closes[100])),
+            repr(float(closes[-1])), repr(5 * (float(closes[-1]) - float(closes[100]))),
+            repr(float((dates[-1] - dates[100]).days)), "1",
+        ]
+
     def test_train_rejects_baseline(self, tmp_path, capsys):
         config = self.write_config(tmp_path, agent="buy_and_hold")
         code, _, err = self.run_cli(capsys, "train", "--config", str(config))

@@ -655,6 +655,14 @@ class TestBaselines:
         assert fills[0].shares == 9
         assert curve.values[0] == pytest.approx(1000.0 - 9 * 100.0 * 1.01 + 900.0, rel=1e-12)
 
+    def test_buy_and_hold_keeps_opening_shares(self):
+        # 3 opening shares; the cash buys 2 more at the first affordable close
+        curve, fills = baseline_buy_and_hold(
+            make_series([200.0, 90.0, 100.0]), 150.0, initial_shares=3
+        )
+        assert [(f.date, f.side, f.shares) for f in fills] == [(curve.dates[1], "buy", 1)]
+        assert curve.values.tolist() == [750.0, 420.0, 460.0]
+
     def test_buy_and_hold_too_short(self):
         with pytest.raises(ValueError, match="at least 2"):
             baseline_buy_and_hold(make_series([100.0]), 1000.0)
@@ -669,6 +677,11 @@ class TestBaselines:
         curve, fills = baseline_sma_crossover(make_series([50.0] * 30), 3, 8, 1000.0)
         assert fills == []
         assert curve.roi() == 0.0
+
+    def test_crossover_sells_opening_shares_without_long_signal(self):
+        curve, fills = baseline_sma_crossover(make_series([50.0] * 30), 3, 8, 1000.0, initial_shares=4)
+        assert [(f.date, f.side, f.shares) for f in fills] == [(curve.dates[0], "sell", 4)]
+        assert curve.values.tolist() == [1200.0] * 30
 
     def test_crossover_period_validation(self):
         series = make_series([50.0] * 30)
