@@ -64,11 +64,15 @@ class Bar:
     def __post_init__(self) -> None:
         for name in ("open", "high", "low", "close", "adj_close"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0:
+            if not math.isfinite(value):
+                raise DataError(f"{self.date}: non-finite price {name}={value}")
+            if value <= 0:
                 raise DataError(f"{self.date}: non-positive price {name}={value}")
         if not (self.low <= self.open <= self.high and self.low <= self.close <= self.high):
             raise DataError(f"{self.date}: OHLC ordering violated")
-        if not math.isfinite(self.volume) or self.volume < 0:
+        if not math.isfinite(self.volume):
+            raise DataError(f"{self.date}: non-finite volume {self.volume}")
+        if self.volume < 0:
             raise DataError(f"{self.date}: negative volume {self.volume}")
 
 

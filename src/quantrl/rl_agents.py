@@ -311,7 +311,12 @@ class QTable:
             key_text, *values = line.split(",")
             if len(values) != len(Action):
                 raise ValueError(f"{path}: malformed row {line!r}")
-            key = tuple(int(tok) for tok in key_text.split("-"))
+            try:
+                key = tuple(int(tok) for tok in key_text.split("-"))
+            except ValueError:
+                raise ValueError(f"{path}: malformed state key in row {line!r}") from None
+            if key in table._q:
+                raise ValueError(f"{path}: repeated state {key_text} in row {line!r}")
             q = np.array([float(v) for v in values])
             if not np.isfinite(q).all():
                 raise ValueError(f"{path}: non-finite value in row {line!r}")

@@ -123,7 +123,7 @@ CASES = {
     "synth-overflow": (
         lambda tmp, r: ["synth", "--kind", "trend", "--drift", "10", "--length", "400",
                         "--out", tmp / "t.csv"],
-        "ingest", "2021-02-22: non-positive price open=inf"),
+        "ingest", "2021-02-22: non-finite price open=inf"),
     "run-missing-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": str(tmp / "x.csv")})],
         "ingest", "No such file"),
@@ -165,6 +165,13 @@ CASES = {
         "evaluate", "q-table state 0-3-0 does not fit the observations"),
     "evaluate-corrupt-qtable": (
         evaluate_artifact("qtable", "q.csv", "junk\n"), "evaluate", "not a q-table file"),
+    # a concatenated table must not evaluate with whichever row came last
+    "evaluate-qtable-repeated-state": (
+        evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE + "1-1-1,0.0,0.0,5.0\n"),
+        "evaluate", r"q\.csv: repeated state 1-1-1 in row '1-1-1,0\.0,0\.0,5\.0'"),
+    "evaluate-qtable-malformed-key": (
+        evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE.replace("1-1-1", "1--1")),
+        "evaluate", r"q\.csv: malformed state key in row '1--1,0\.0,1\.0,0\.0'"),
     "compare-missing-metrics": (
         lambda tmp, r: ["compare", tmp], "report", r"metrics\.json: \[Errno 2\]"),
     "compare-invalid-json": (

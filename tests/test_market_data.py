@@ -372,13 +372,13 @@ class TestLoadCsvProperties:
 
     @pytest.mark.parametrize("row, message", [
         ("2020-01-02,10,11,9,10.5,10.4,-1", "2020-01-02: negative volume -1.0"),
-        ("2020-01-02,10,11,9,10.5,10.4,nan", "2020-01-02: negative volume nan"),
+        ("2020-01-02,10,11,9,10.5,10.4,nan", "2020-01-02: non-finite volume nan"),
         ("2020-01-02,10,11,9,11.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
         ("2020-01-02,10,11,9,8.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
         ("2020-01-02,12,11,9,10.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
         ("2020-01-02,8,11,9,10.5,10.4,1000", "2020-01-02: OHLC ordering violated"),
         ("2020-01-02,10,11,9,10.5,0,1000", "2020-01-02: non-positive price adj_close=0.0"),
-        ("2020-01-02,10,inf,9,10.5,10.4,1000", "2020-01-02: non-positive price high=inf"),
+        ("2020-01-02,10,inf,9,10.5,10.4,1000", "2020-01-02: non-finite price high=inf"),
         ("2020-01-02,-10,11,9,10.5,-1,1000", "2020-01-02: non-positive price open=-10.0"),
     ])
     def test_each_row_check_reports_bar_message(self, tmp_path, row, message):
@@ -694,8 +694,8 @@ class TestGenerateSynthetic:
         # (1 + drift) ** t overflows to inf; the row is rejected as any bar with it would be
         with np.errstate(over="ignore"), pytest.raises(DataError) as info:
             generate_synthetic("trend", length=400, drift=10.0)
-        assert str(info.value) == "2021-02-22: non-positive price open=inf"
-        with pytest.raises(DataError, match=r"negative volume nan$"):
+        assert str(info.value) == "2021-02-22: non-finite price open=inf"
+        with pytest.raises(DataError, match=r"non-finite volume nan$"):
             generate_synthetic("sinusoid", length=5, volume=float("nan"))
 
     def test_weekday_grid(self):

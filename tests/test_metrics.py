@@ -1,8 +1,11 @@
 import math
+from collections import deque
+from dataclasses import astuple
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantrl.metrics import (
     EquityCurve,
@@ -15,6 +18,7 @@ from quantrl.metrics import (
     compute_report,
     cumulative_return,
     decode_metric,
+    _holding_days,
     encode_metric,
     match_trades,
     max_drawdown,
@@ -253,7 +257,101 @@ class TestAverageHoldingPeriod:
             average_holding_period([])
 
 
+def reference_match_trades(
+    fills, final_price=None, final_date=None, day_count="calendar", trading_dates=None,
+    opening_lot=None,
+):
+    """The earlier matcher, kept as the reference: an opening lot held apart
+    from the fills, and a second loop that closes the open lots."""
+    index_of = {d: i for i, d in enumerate(trading_dates)} if day_count == "trading" else None
+    open_lots = deque()  # [date, shares_left, price, cost_left]
+    trades = []
+    position = 0
+    previous = None
+    if opening_lot is not None:
+        previous, position, price = opening_lot
+        open_lots.append([previous, position, price, 0.0])
+    for fill in fills:
+        assert previous is None or fill.date >= previous
+        previous = fill.date
+        if fill.side == "buy":
+            open_lots.append([fill.date, fill.shares, fill.price, fill.cost])
+            position += fill.shares
+            continue
+        assert fill.shares <= position
+        remaining = fill.shares
+        while remaining > 0:
+            lot = open_lots[0]
+            take = min(lot[1], remaining)
+            buy_cost = lot[3] * (take / lot[1])
+            sell_cost = fill.cost * (take / fill.shares)
+            trades.append(RoundTripTrade(
+                entry_date=lot[0],
+                exit_date=fill.date,
+                shares=take,
+                entry_price=lot[2],
+                exit_price=fill.price,
+                profit=take * (fill.price - lot[2]) - buy_cost - sell_cost,
+                holding_days=_holding_days(lot[0], fill.date, day_count, index_of),
+            ))
+            lot[1] -= take
+            lot[3] -= buy_cost
+            if lot[1] == 0:
+                open_lots.popleft()
+            remaining -= take
+        position -= fill.shares
+    if open_lots and final_price is not None:
+        for lot in open_lots:
+            trades.append(RoundTripTrade(
+                entry_date=lot[0],
+                exit_date=final_date,
+                shares=lot[1],
+                entry_price=lot[2],
+                exit_price=final_price,
+                profit=lot[1] * (final_price - lot[2]) - lot[3],
+                holding_days=_holding_days(lot[0], final_date, day_count, index_of),
+                mark_to_market=True,
+            ))
+    return trades
+
+
+PRICES = st.floats(0.01, 1e4)
+
+
+@st.composite
+def ledgers(draw):
+    """(calendar, opening lot or None, fills): chronological, never selling short."""
+    calendar = tuple(date(2020, 1, 1) + timedelta(days=d) for d in sorted(
+        draw(st.sets(st.integers(0, 400), min_size=2, max_size=30))))
+    opening = draw(st.integers(0, 20))
+    lot = (calendar[0], opening, draw(PRICES)) if opening else None
+    position, fills = opening, []
+    for day in sorted(draw(st.lists(st.integers(0, len(calendar) - 1), max_size=25))):
+        shares = draw(st.integers(1, 30))
+        side = draw(st.sampled_from(["buy", "sell"])) if position else "buy"
+        if side == "sell":
+            shares = min(shares, position)
+        position += shares if side == "buy" else -shares
+        cost = draw(st.sampled_from([0.0, -0.0]) | st.floats(0.0, 50.0))
+        fills.append(Fill(calendar[day], side, shares, draw(PRICES), cost))
+    return calendar, lot, fills
+
+
 class TestMatchTrades:
+    @settings(max_examples=300, deadline=None)
+    @given(ledgers(), st.sampled_from(["calendar", "trading"]), st.none() | PRICES)
+    def test_opening_fill_and_closing_sell_match_the_two_path_matcher(
+        self, ledger, day_count, final_price
+    ):
+        calendar, lot, fills = ledger
+        ledger_fills = [Fill(lot[0], "buy", lot[1], lot[2]), *fills] if lot else fills
+        kwargs = dict(final_price=final_price, final_date=calendar[-1], day_count=day_count,
+                      trading_dates=calendar)
+        got = match_trades(ledger_fills, **kwargs)
+        want = reference_match_trades(fills, opening_lot=lot, **kwargs)
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        assert [repr(astuple(t)) for t in got] == [repr(astuple(t)) for t in want]
+
     def test_simple_round_trip(self):
         fills = [
             Fill(date(2020, 1, 1), "buy", 100, 10.0),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quantrl.neural_net import (
     GradientSet,
@@ -243,7 +244,33 @@ class TestStructuralProperties:
         assert np.array_equal(a, b)  # input cannot reach the output
 
 
+# Parameter values from subnormal to 1e300 in magnitude, both zeros included.
+PARAMETERS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]) | st.floats(
+    -1e300, 1e300, allow_subnormal=True
+)
+
+
+@st.composite
+def networks(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=4)))
+    def block(*shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(PARAMETERS, min_size=count, max_size=count))).reshape(shape)
+    pairs = list(zip(sizes, sizes[1:]))
+    return Mlp(sizes, [block(i, o) for i, o in pairs], [block(o) for _, o in pairs])
+
+
 class TestCheckpoint:
+    @settings(max_examples=100, deadline=None)
+    @given(networks())
+    def test_round_trip_bit_exact_over_magnitudes(self, tmp_path_factory, net):
+        path = tmp_path_factory.getbasetemp() / "property_net.txt"
+        save_checkpoint(net, path)
+        again = load_checkpoint(path)
+        assert again.layer_sizes == net.layer_sizes
+        for got, want in zip(again.weights + again.biases, net.weights + net.biases):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
         net = init_mlp((5, 7, 3), seed=123)
         sgd_step(net, backward(net, np.ones((2, 5)), np.zeros((2, 3)))[1], 0.01)

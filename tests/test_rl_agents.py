@@ -796,6 +796,24 @@ class TestSerialization:
         for key, values in table.items():
             assert np.array_equal(again.action_values(key), values)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda width: st.dictionaries(
+        st.tuples(*[st.integers(0, 12)] * width),
+        st.lists(st.sampled_from([0.0, -0.0, 5e-324, -1e300]) | st.floats(-1e300, 1e300),
+                 min_size=len(Action), max_size=len(Action)),
+        max_size=20,
+    )))
+    def test_qtable_round_trip_bit_exact_over_magnitudes(self, tmp_path_factory, rows):
+        table = QTable()
+        for key, values in rows.items():
+            table._writable(key)[:] = values
+        path = tmp_path_factory.getbasetemp() / "property_q.csv"
+        table.save(path)
+        again = QTable.load(path)
+        assert sorted(k for k, _ in again.items()) == sorted(rows)
+        for key, values in table.items():
+            assert again.action_values(key).tobytes() == values.tobytes()
+
     def test_qtable_bad_file(self, tmp_path):
         path = tmp_path / "nope.csv"
         path.write_text("bogus\n")
