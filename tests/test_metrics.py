@@ -12,13 +12,13 @@ from quantrl.metrics import (
     Fill,
     MetricsReport,
     RoundTripTrade,
+    _holding_days,
     adtv,
     average_daily_return,
     average_holding_period,
     compute_report,
     cumulative_return,
     decode_metric,
-    _holding_days,
     encode_metric,
     match_trades,
     max_drawdown,
