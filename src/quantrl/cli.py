@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -31,9 +32,10 @@ from .experiment import (
     read_config,
     run_experiment,
     stage,
+    synthetic_from_dict,
     train_agent,
 )
-from .market_data import SYNTHETIC_KINDS, generate_synthetic, load_csv, parse_date, write_csv
+from .market_data import SyntheticSpec, generate_synthetic, load_csv, write_csv
 
 OUT_ROOT_ENV = "QUANTRL_OUT_ROOT"
 
@@ -93,20 +95,11 @@ def cmd_ingest(args: argparse.Namespace, extras: Sequence[str]) -> int:
 
 def cmd_synth(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
+    with stage("config"):
+        given = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec) if f.name in args}
+        spec = synthetic_from_dict(given, prefix="--")
     with stage("ingest"):
-        bars = generate_synthetic(
-            args.kind,
-            length=args.length,
-            seed=args.seed,
-            start=parse_date(args.start),
-            symbol=args.symbol,
-            base=args.base,
-            amplitude=args.amplitude,
-            period_days=args.period,
-            drift=args.drift,
-            volatility=args.volatility,
-            volume=args.volume,
-        )
+        bars = generate_synthetic(**asdict(spec), symbol=args.symbol)
         write_csv(bars, args.out)
     print(f"wrote {len(bars)} bars to {args.out}")
     return 0
@@ -192,18 +185,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(cmd=cmd_ingest)
 
     p_synth = sub.add_parser("synth", help="write a synthetic price fixture CSV")
-    p_synth.add_argument("--kind", required=True, choices=SYNTHETIC_KINDS)
+    # One flag per data.synthetic key, parsed as the config parses that key.
+    for f in fields(SyntheticSpec):
+        default = "required" if f.default is MISSING else f"default {f.default}"
+        p_synth.add_argument(f"--{f.name}", default=argparse.SUPPRESS, help=f"{f.type}, {default}")
     p_synth.add_argument("--out", required=True, help="output CSV path")
-    p_synth.add_argument("--length", type=int, default=300)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--start", default="2020-01-06", help="first date (ISO)")
     p_synth.add_argument("--symbol", default="SYNTH")
-    p_synth.add_argument("--base", type=float, default=100.0)
-    p_synth.add_argument("--amplitude", type=float, default=10.0)
-    p_synth.add_argument("--period", type=float, default=10.0, help="sinusoid period in days")
-    p_synth.add_argument("--drift", type=float, default=0.0)
-    p_synth.add_argument("--volatility", type=float, default=0.0)
-    p_synth.add_argument("--volume", type=float, default=1_000_000.0)
     p_synth.set_defaults(cmd=cmd_synth)
 
     def add_config_args(p: argparse.ArgumentParser) -> None:

@@ -24,6 +24,7 @@ from .market_data import (
     NormalizationMode,
     Normalizer,
     SYNTHETIC_KINDS,
+    SyntheticSpec,
     apply_normalizer,
     build_observations,
     daily_returns,
@@ -112,35 +113,18 @@ def stage(name: str) -> Iterator[None]:
         raise ExperimentError(name, str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    kind: str
-    length: int
-    seed: int = 0
-    start: date = date(2020, 1, 6)
-    base: float = 100.0
-    amplitude: float = 10.0
-    period_days: float = 10.0
-    drift: float = 0.0
-    volatility: float = 0.0
-    volume: float = 1_000_000.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(TrainConfig):
     """Resolved experiment settings, one field per config key.
 
-    The RL hyperparameters and `seed` are TrainConfig's. The `data` key
-    resolves to `data_csv` or `data_synthetic`. The other fields carry the
-    config defaults; a `None` default is resolved at parse time (symbol from
-    the data, window from the agent, annualization sqrt(252)), except `out_dir`.
+    The RL hyperparameters and `seed` are TrainConfig's. `data` is the CSV
+    path of `{"csv": path}` or the spec of `{"synthetic": {...}}`. The other
+    fields carry the config defaults; a `None` default is resolved at parse
+    time (symbol from the data, window from the agent, annualization
+    sqrt(252)), except `out_dir`.
     """
 
-    data_csv: str | None
-    data_synthetic: SyntheticSpec | None
+    data: str | SyntheticSpec
     agent: str
     symbol: str | None = None
     train_start: date = date(2010, 1, 1)
@@ -172,8 +156,8 @@ class ExperimentConfig(TrainConfig):
         return CostModel(self.cost_rate)
 
 
-# Config keys: `data` plus every ExperimentConfig field it does not resolve to.
-_KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if not f.name.startswith("data_"))
+# Config keys: `data`, parsed by its own rules, and the fields parsed by annotation.
+_KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "data")
 CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
 _SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
 # Allowed values of the string-valued keys.
@@ -256,7 +240,9 @@ def _field_values(specs: Sequence[Field], raw: dict, prefix: str = "") -> dict[s
 
 
 def _echo(value: Any) -> Any:
-    """A field value as JSON: dates in ISO form, tuples as lists."""
+    """A field value as JSON: dates in ISO form, tuples as lists, a spec as an object."""
+    if isinstance(value, SyntheticSpec):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, date):
         return value.isoformat()
     if isinstance(value, tuple):
@@ -264,21 +250,24 @@ def _echo(value: Any) -> Any:
     return value
 
 
-def _synthetic_from_dict(raw: Any) -> SyntheticSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError("data.synthetic: expected an object")
+def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> SyntheticSpec:
+    """The spec of a `data.synthetic` object, or of `quantrl synth`'s flags.
+
+    Values are coerced as config values are; errors name a key as `prefix`
+    plus the field name.
+    """
     unknown = set(raw) - _SYNTHETIC_KEYS
     if unknown:
         raise ConfigError(f"unknown synthetic keys: {', '.join(sorted(unknown))}")
-    if "kind" not in raw:
-        raise ConfigError("synthetic data needs a 'kind'")
+    for key in ("kind", "length"):
+        if key not in raw:
+            raise ConfigError(f"{prefix}{key} is required")
     if raw["kind"] not in SYNTHETIC_KINDS:
         raise ConfigError(
-            f"unknown synthetic kind {raw['kind']!r}; valid kinds: {', '.join(SYNTHETIC_KINDS)}"
+            f"{prefix}kind: unknown synthetic kind {raw['kind']!r}; "
+            f"valid kinds: {', '.join(SYNTHETIC_KINDS)}"
         )
-    if "length" not in raw:
-        raise ConfigError("synthetic data needs a 'length'")
-    return SyntheticSpec(**_field_values(fields(SyntheticSpec), raw, "data.synthetic."))
+    return SyntheticSpec(**_field_values(fields(SyntheticSpec), raw, prefix))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -309,16 +298,19 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown agent kind {agent!r}; valid kinds: {', '.join(AGENT_KINDS)}"
         )
-    data_csv = data.get("csv")
-    values: dict[str, Any] = {
-        "data_csv": data_csv,
-        "data_synthetic": _synthetic_from_dict(data["synthetic"]) if "synthetic" in data else None,
-        **_field_values(_KEY_FIELDS, raw),
-    }
+    source = data.get("csv")
+    if "synthetic" in data:
+        if not isinstance(data["synthetic"], dict):
+            raise ConfigError("data.synthetic: expected an object")
+        source = synthetic_from_dict(data["synthetic"])
+    elif not (isinstance(source, str) and source):
+        raise ConfigError(f"data.csv: expected a file path, got {source!r}")
+    values: dict[str, Any] = {"data": source, **_field_values(_KEY_FIELDS, raw)}
     if not isinstance(values.get("out_dir"), (str, type(None))):
         raise ConfigError(f"out_dir: expected a string, got {values['out_dir']!r}")
     # Cross-field defaults: a missing or null key takes the derived value.
-    values["symbol"] = str(values.get("symbol") or (Path(data_csv).stem if data_csv else "SYNTH"))
+    csv_stem = Path(source).stem if isinstance(source, str) else "SYNTH"
+    values["symbol"] = str(values.get("symbol") or csv_stem)
     if values.get("window") is None:
         values["window"] = 3 if agent == "qtable" else 10
     if values.get("annualization") is None:
@@ -381,19 +373,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Full resolved config echo, JSON-serializable."""
-    if cfg.data_csv is not None:
-        data: dict[str, Any] = {"csv": cfg.data_csv}
-    else:
-        assert cfg.data_synthetic is not None
-        data = {"synthetic": cfg.data_synthetic.to_dict()}
+    data = {"csv": cfg.data} if isinstance(cfg.data, str) else {"synthetic": _echo(cfg.data)}
     return {"data": data, **{f.name: _echo(getattr(cfg, f.name)) for f in _KEY_FIELDS}}
 
 
 def load_bars(cfg: ExperimentConfig) -> BarSeries:
-    if cfg.data_csv is not None:
-        return load_csv(cfg.data_csv, symbol=cfg.symbol)
-    assert cfg.data_synthetic is not None
-    return generate_synthetic(**asdict(cfg.data_synthetic), symbol=cfg.symbol)
+    if isinstance(cfg.data, str):
+        return load_csv(cfg.data, symbol=cfg.symbol)
+    return generate_synthetic(**asdict(cfg.data), symbol=cfg.symbol)
 
 
 def _slice_window(bars: BarSeries, label: str, start: date, end: date) -> BarSeries:

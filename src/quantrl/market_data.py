@@ -384,57 +384,63 @@ def _weekday_grid(start: date, length: int) -> tuple[date, ...]:
     return tuple(out)
 
 
-# An unrepresentable price overflows to inf; the row checks report that, not numpy warnings.
-@np.errstate(over="ignore", invalid="ignore")
-def generate_synthetic(
-    kind: str,
-    *,
-    length: int,
-    seed: int = 0,
-    start: date = date(2020, 1, 6),
-    symbol: str = "SYNTH",
-    base: float = 100.0,
-    amplitude: float = 10.0,
-    period_days: float = 10.0,
-    drift: float = 0.0,
-    volatility: float = 0.0,
-    volume: float = 1_000_000.0,
-) -> BarSeries:
-    """Deterministic synthetic daily series on a weekday date grid.
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """The settings of one synthetic series: `data.synthetic` and `quantrl synth`.
 
     sinusoid: close[t] = base + amplitude * sin(2*pi*t / period_days)
     trend:    close[t] = base * (1 + drift) ** t
     gbm:      geometric Brownian motion path seeded by `seed`
     """
+
+    kind: str
+    length: int
+    seed: int = 0
+    start: date = date(2020, 1, 6)
+    base: float = 100.0
+    amplitude: float = 10.0
+    period_days: float = 10.0
+    drift: float = 0.0
+    volatility: float = 0.0
+    volume: float = 1_000_000.0
+
+
+# An unrepresentable price overflows to inf; the row checks report that, not numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
+def generate_synthetic(kind: str, *, symbol: str = "SYNTH", **settings) -> BarSeries:
+    """Deterministic synthetic daily series on a weekday date grid.
+
+    `settings` are SyntheticSpec's other fields; `length` is required.
+    """
+    spec = SyntheticSpec(kind, **settings)
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}; valid: {', '.join(SYNTHETIC_KINDS)}")
-    if length < 2:
+    if spec.length < 2:
         raise ValueError("length must be >= 2")
-    if base <= 0:
+    if spec.base <= 0:
         raise ValueError("base price must be positive")
-    if volume < 0:
+    if spec.volume < 0:
         raise ValueError("volume must be non-negative")
-    t = np.arange(length, dtype=float)
+    t = np.arange(spec.length, dtype=float)
     if kind == "sinusoid":
-        if not 0 < amplitude < base:
+        if not 0 < spec.amplitude < spec.base:
             raise ValueError("amplitude must be positive and below base")
-        if period_days <= 0:
+        if spec.period_days <= 0:
             raise ValueError("period_days must be positive")
-        closes = base + amplitude * np.sin(2.0 * np.pi * t / period_days)
+        closes = spec.base + spec.amplitude * np.sin(2.0 * np.pi * t / spec.period_days)
     elif kind == "trend":
-        if drift <= -1:
+        if spec.drift <= -1:
             raise ValueError("drift must be > -1")
-        closes = base * np.power(1.0 + drift, t)
+        closes = spec.base * np.power(1.0 + spec.drift, t)
     else:  # gbm
-        if volatility < 0:
+        sigma = spec.volatility
+        if sigma < 0:
             raise ValueError("volatility must be non-negative")
-        rng = np.random.default_rng(seed)
+        noise = np.random.default_rng(spec.seed).standard_normal(spec.length - 1)
         dt = 1.0 / 252.0
-        steps = (drift - 0.5 * volatility**2) * dt + volatility * math.sqrt(dt) * rng.standard_normal(
-            length - 1
-        )
-        closes = base * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
-    dates = _weekday_grid(start, length)
-    block = np.column_stack([closes] * 5 + [np.full(length, volume, dtype=float)])
+        steps = (spec.drift - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * noise
+        closes = spec.base * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
+    dates = _weekday_grid(spec.start, spec.length)
+    block = np.column_stack([closes] * 5 + [np.full(spec.length, spec.volume, dtype=float)])
     _check_rows(dates, block)
     return BarSeries._from_columns(symbol, dates, block)

@@ -112,6 +112,13 @@ CASES = {
     "config-bad-override": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--agent.kind=1"],
         "config", "descends into a non-object value"),
+    # a null path used to fail in ingest with an empty message, "" as a directory read
+    "config-null-csv": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": None})],
+        "config", "data.csv: expected a file path, got None"),
+    "config-empty-csv": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": ""})],
+        "config", "data.csv: expected a file path, got ''"),
     "extra-arguments": (
         lambda tmp, r: ["ingest", "--csv", "x.csv", "--bogus"],
         "config", "unrecognized arguments: --bogus"),
@@ -124,6 +131,16 @@ CASES = {
         lambda tmp, r: ["synth", "--kind", "trend", "--drift", "10", "--length", "400",
                         "--out", tmp / "t.csv"],
         "ingest", "2021-02-22: non-finite price open=inf"),
+    # synth's flags are parsed as data.synthetic is, not by argparse
+    "synth-unknown-kind": (
+        lambda tmp, r: ["synth", "--kind", "steps", "--length", "40", "--out", tmp / "t.csv"],
+        "config", "--kind: unknown synthetic kind 'steps'"),
+    "synth-non-integer-length": (
+        lambda tmp, r: ["synth", "--kind", "gbm", "--length", "abc", "--out", tmp / "t.csv"],
+        "config", "--length: expected int, got 'abc'"),
+    "synth-missing-length": (
+        lambda tmp, r: ["synth", "--kind", "gbm", "--out", tmp / "t.csv"],
+        "config", "--length is required"),
     "run-missing-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": str(tmp / "x.csv")})],
         "ingest", "No such file"),

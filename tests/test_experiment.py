@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quantrl.cli import main
+from quantrl.cli import _build_parser, main
 from quantrl.experiment import (
     AGENT_KINDS,
     CONFIG_KEYS,
@@ -34,7 +34,7 @@ from quantrl.experiment import (
     split_train_test,
     train_agent,
 )
-from quantrl.market_data import generate_synthetic, write_csv
+from quantrl.market_data import SyntheticSpec, generate_synthetic, write_csv
 from quantrl.metrics import Fill, decode_metric
 from quantrl.neural_net import _row_forward, forward, init_mlp
 from quantrl.rl_agents import (
@@ -321,7 +321,7 @@ class TestConfig:
         spec = {"kind": "gbm", "length": "260", "seed": "3", "start": "2021-02-01",
                 "base": 100, "volatility": "0.2"}
         cfg = config_from_dict({"data": {"synthetic": spec}, "agent": "dqn"})
-        synthetic = cfg.data_synthetic
+        synthetic = cfg.data
         assert (synthetic.length, synthetic.seed, synthetic.start, synthetic.base, synthetic.volatility) == (
             260, 3, date(2021, 2, 1), 100.0, 0.2
         )
@@ -805,6 +805,16 @@ class TestCli:
         assert code == 0 and "wrote 50 bars" in out
         code, out, _ = self.run_cli(capsys, "ingest", "--csv", str(out_csv))
         assert code == 0 and out.startswith("ok: 50 bars")
+
+    def test_synth_flags_are_the_synthetic_keys(self):
+        synth = next(
+            action.choices["synth"] for action in _build_parser()._actions
+            if isinstance(action.choices, dict)
+        )
+        flags = {opt for action in synth._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help"} == {
+            *(f"--{f.name}" for f in fields(SyntheticSpec)), "--out", "--symbol"
+        }
 
     def test_ingest_missing_file_is_stage_tagged(self, tmp_path, capsys):
         code, _, err = self.run_cli(capsys, "ingest", "--csv", str(tmp_path / "nope.csv"))
