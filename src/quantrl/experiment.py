@@ -160,6 +160,10 @@ class ExperimentConfig(TrainConfig):
 _KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "data")
 CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
 _SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
+# Keys that shape the observations or the artifact: `evaluate` refuses an
+# artifact whose config echo differs from the config in one of them.
+TRAINING_KEYS = ("data", "train_start", "train_end", "window", "use_indicators", "sma_period",
+                 "rsi_period", "normalization", "return_field", "state_cuts", "hidden_sizes")
 # Allowed values of the string-valued keys.
 _CHOICES = {
     "normalization": NORMALIZATION_MODES,
@@ -708,8 +712,29 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
 
 
 def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
-    """Read the trained artifact of cfg's learning agent, as emit_training wrote it."""
+    """Read the trained artifact of cfg's learning agent, as emit_training wrote it.
+
+    The config_echo.json emit_training wrote beside it, if there is one, must
+    agree with cfg on every TRAINING_KEYS key; an artifact alone is not checked.
+    """
+    _check_config_echo(cfg, Path(path).parent / "config_echo.json")
     return _ARTIFACTS[cfg.agent][2](path)
+
+
+def _check_config_echo(cfg: ExperimentConfig, path: Path) -> None:
+    try:
+        echo = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(echo, dict):
+        raise ValueError(f"{path}: not a config echo, expected a JSON object")
+    current = config_to_dict(cfg)
+    for key in TRAINING_KEYS:
+        if echo.get(key) != current[key]:
+            trained, evaluated = (json.dumps(v, sort_keys=True) for v in (echo.get(key), current[key]))
+            raise ValueError(f"{path}: artifact trained under {key}={trained}, not {evaluated}")
 
 
 def emit_training(

@@ -92,6 +92,23 @@ def evaluate_artifact(agent, name, text, *overrides):
                            "--checkpoint", write(tmp / name, text), *overrides]
 
 
+def trained_dqn(tmp):
+    """(config, checkpoint) of a DQN trained with indicators; its config echo sits beside it."""
+    cfg = config_file(tmp, "dqn", use_indicators=True)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp / "trained")]) == 0
+    return cfg, tmp / "trained" / "checkpoint_dqn.txt"
+
+
+def evaluate_trained(*overrides, echo=None):
+    """An evaluate argv for `trained_dqn` under `overrides`, its echo replaced by `echo` if given."""
+    def argv(tmp, r):
+        cfg, checkpoint = trained_dqn(tmp)
+        if echo is not None:
+            write(checkpoint.parent / "config_echo.json", echo)
+        return ["evaluate", "--config", cfg, "--checkpoint", checkpoint, *overrides]
+    return argv
+
+
 QTABLE_3_WIDE = "state_key,q_hold,q_buy,q_sell\n1-1-1,0.0,1.0,0.0\n"
 
 BAD_ROW_CSV = (
@@ -189,6 +206,20 @@ CASES = {
     "evaluate-qtable-malformed-key": (
         evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE.replace("1-1-1", "1--1")),
         "evaluate", r"q\.csv: malformed state key in row '1--1,0\.0,1\.0,0\.0'"),
+    # the artifact keeps its layout, so only its config echo tells these apart
+    "evaluate-echo-other-indicator-periods": (
+        evaluate_trained("--sma_period=30", "--rsi_period=5"),
+        "evaluate", r"trained/config_echo\.json: artifact trained under sma_period=14, not 30"),
+    "evaluate-echo-other-normalization": (
+        evaluate_trained("--normalization=unit_range"),
+        "evaluate", 'artifact trained under normalization="signed_range", not "unit_range"'),
+    "evaluate-echo-other-data": (
+        evaluate_trained("--data.synthetic.seed=3"),
+        "evaluate", r'artifact trained under data=\{"synthetic": \{.*"seed": 0'),
+    "evaluate-malformed-echo": (
+        evaluate_trained(echo="{"), "evaluate", r"trained/config_echo\.json: Expecting"),
+    "evaluate-echo-not-an-object": (
+        evaluate_trained(echo="[]"), "evaluate", "not a config echo, expected a JSON object"),
     "compare-missing-metrics": (
         lambda tmp, r: ["compare", tmp], "report", r"metrics\.json: \[Errno 2\]"),
     "compare-invalid-json": (
@@ -226,6 +257,15 @@ def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
     assert code == 1
     assert re.fullmatch(rf"error: \[{stage}\] [^\n]*{pattern}[^\n]*\n", err), err
     assert caught == []
+
+
+def test_evaluation_side_keys_may_differ_from_the_echo(tmp_path, capsys):
+    cfg, checkpoint = trained_dqn(tmp_path)
+    code, out, err, _ = run_cli(capsys, [
+        "evaluate", "--config", cfg, "--checkpoint", checkpoint, "--out", tmp_path / "evaluated",
+        "--cost_rate=0.01", f"--test_start={DATES[TRAIN_BARS + 1]}", "--initial_shares=3",
+    ])
+    assert code == 0 and err == "" and "dqn: test ROI" in out
 
 
 def test_valid_reports_compare(tmp_path, capsys, reports):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from quantrl.neural_net import (
     GradientSet,
     Mlp,
+    _column_backward,
     backward,
     clone_parameters,
     forward,
@@ -170,6 +171,31 @@ class TestBackward:
         _, g2 = backward(net, x, base - 2.0 * residual)
         for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
             assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        batch=st.integers(1, 8),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_backward_is_backward_with_one_hot_mask(self, sizes, batch, scale, seed):
+        # the DQN update's private path, bit for bit against the public one
+        rng = np.random.default_rng(seed)
+        net = init_mlp(sizes, seed=rng)
+        x = scale * rng.normal(size=(batch, sizes[0]))
+        columns = rng.integers(0, sizes[-1], size=batch)
+        chosen = scale * rng.normal(size=batch)
+        rows = np.arange(batch)
+        targets = scale * rng.normal(size=(batch, sizes[-1]))  # unselected entries must not count
+        targets[rows, columns] = chosen
+        mask = np.zeros(targets.shape, dtype=bool)
+        mask[rows, columns] = True
+        loss, grads = backward(net, x, targets, mask)
+        column_loss, column_grads = _column_backward(net, x, columns, chosen)
+        assert np.float64(column_loss).tobytes() == np.float64(loss).tobytes()
+        for got, want in zip(column_grads.weights + column_grads.biases, grads.weights + grads.biases):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSgdStep:
