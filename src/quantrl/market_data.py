@@ -436,9 +436,11 @@ def generate_synthetic(kind: str, *, symbol: str = "SYNTH", **settings) -> BarSe
         sigma = spec.volatility
         if sigma < 0:
             raise ValueError("volatility must be non-negative")
-        noise = np.random.default_rng(spec.seed).standard_normal(spec.length - 1)
+        rng = np.random.default_rng(spec.seed)
         dt = 1.0 / 252.0
-        steps = (spec.drift - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * noise
+        steps = (spec.drift - 0.5 * sigma**2) * dt + sigma * math.sqrt(dt) * rng.standard_normal(
+            spec.length - 1
+        )
         closes = spec.base * np.exp(np.concatenate([[0.0], np.cumsum(steps)]))
     dates = _weekday_grid(spec.start, spec.length)
     block = np.column_stack([closes] * 5 + [np.full(spec.length, spec.volume, dtype=float)])
