@@ -129,7 +129,7 @@ CASES = {
     "config-bad-override": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--agent.kind=1"],
         "config", "descends into a non-object value"),
-    # a null path used to fail in ingest with an empty message, "" as a directory read
+    # a CSV path is a non-empty string; neither of these may reach the CSV reader
     "config-null-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": None})],
         "config", "data.csv: expected a file path, got None"),
