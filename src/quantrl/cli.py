@@ -99,7 +99,7 @@ def cmd_synth(args: argparse.Namespace, extras: Sequence[str]) -> int:
         given = {f.name: getattr(args, f.name) for f in fields(SyntheticSpec) if f.name in args}
         spec = synthetic_from_dict(given, prefix="--")
     with stage("ingest"):
-        bars = generate_synthetic(**asdict(spec), symbol=args.symbol)
+        bars = generate_synthetic(**asdict(spec))
         write_csv(bars, args.out)
     print(f"wrote {len(bars)} bars to {args.out}")
     return 0
@@ -190,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default = "required" if f.default is MISSING else f"default {f.default}"
         p_synth.add_argument(f"--{f.name}", default=argparse.SUPPRESS, help=f"{f.type}, {default}")
     p_synth.add_argument("--out", required=True, help="output CSV path")
-    p_synth.add_argument("--symbol", default="SYNTH")
     p_synth.set_defaults(cmd=cmd_synth)
 
     def add_config_args(p: argparse.ArgumentParser) -> None:

@@ -53,6 +53,7 @@ from .rl_agents import (
     QTable,
     TrainConfig,
     _check_outputs,
+    _discretize_rows,
     baseline_buy_and_hold,
     baseline_sma_crossover,
     select_action,
@@ -63,10 +64,11 @@ from .rl_agents import (
 )
 from .trading_env import Action, CostModel, MarketWindow, REWARD_MODES, TradingEnv
 
-# Learning agent -> (artifact file name, writer(artifact, path), reader(path)).
-_ARTIFACTS: dict[str, tuple[str, Callable, Callable]] = {
-    "qtable": ("qtable.csv", QTable.save, QTable.load),
-    "dqn": ("checkpoint_dqn.txt", save_checkpoint, load_checkpoint),
+# Learning agent -> (artifact file name, writer(artifact, path), reader(path),
+# the config key that shapes that artifact beyond the observations).
+_ARTIFACTS: dict[str, tuple[str, Callable, Callable, str]] = {
+    "qtable": ("qtable.csv", QTable.save, QTable.load, "state_cuts"),
+    "dqn": ("checkpoint_dqn.txt", save_checkpoint, load_checkpoint, "hidden_sizes"),
 }
 LEARNING_AGENTS = tuple(_ARTIFACTS)
 AGENT_KINDS = (*LEARNING_AGENTS, "buy_and_hold", "sma_crossover")
@@ -160,10 +162,10 @@ class ExperimentConfig(TrainConfig):
 _KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "data")
 CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
 _SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
-# Keys that shape the observations or the artifact: `evaluate` refuses an
-# artifact whose config echo differs from the config in one of them.
+# Keys that shape the observations: `evaluate` refuses an artifact whose config
+# echo differs from the config in one of them or in its learner's _ARTIFACTS key.
 TRAINING_KEYS = ("data", "train_start", "train_end", "window", "use_indicators", "sma_period",
-                 "rsi_period", "normalization", "return_field", "state_cuts", "hidden_sizes")
+                 "rsi_period", "normalization", "return_field")
 # Allowed values of the string-valued keys.
 _CHOICES = {
     "normalization": NORMALIZATION_MODES,
@@ -522,8 +524,10 @@ def greedy_policy(
                     f"q-table state {'-'.join(map(str, key))} does not fit the observations: "
                     f"expected {obs_dim} bin indices in 0..{bins}"
                 )
-        discretizer = Discretizer.uniform(obs_dim, cfg.state_cuts)
-        return lambda obs: [select_action(artifact.action_values(discretizer(o)), 0.0) for o in obs]
+        return lambda obs: [
+            select_action(artifact.action_values(key), 0.0)
+            for key in _discretize_rows(obs, cfg.state_cuts)
+        ]
     assert isinstance(artifact, Mlp)
     _check_outputs(artifact)
     return lambda obs: np.argmax(_row_forward(artifact, obs), axis=1).tolist()
@@ -715,7 +719,8 @@ def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
     """Read the trained artifact of cfg's learning agent, as emit_training wrote it.
 
     The config_echo.json emit_training wrote beside it, if there is one, must
-    agree with cfg on every TRAINING_KEYS key; an artifact alone is not checked.
+    agree with cfg on every TRAINING_KEYS key and on the key that shapes this
+    learner's artifact; an artifact alone is not checked.
     """
     _check_config_echo(cfg, Path(path).parent / "config_echo.json")
     return _ARTIFACTS[cfg.agent][2](path)
@@ -731,7 +736,7 @@ def _check_config_echo(cfg: ExperimentConfig, path: Path) -> None:
     if not isinstance(echo, dict):
         raise ValueError(f"{path}: not a config echo, expected a JSON object")
     current = config_to_dict(cfg)
-    for key in TRAINING_KEYS:
+    for key in (*TRAINING_KEYS, _ARTIFACTS[cfg.agent][3]):
         if echo.get(key) != current[key]:
             trained, evaluated = (json.dumps(v, sort_keys=True) for v in (echo.get(key), current[key]))
             raise ValueError(f"{path}: artifact trained under {key}={trained}, not {evaluated}")
@@ -755,7 +760,7 @@ def emit_training(
     written[0].write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
     write_history(history, written[1])
     if artifact is not None:
-        name, write, _ = _ARTIFACTS[cfg.agent]
+        name, write, _, _ = _ARTIFACTS[cfg.agent]
         written.append(out / name)
         write(artifact, written[-1])
     return written

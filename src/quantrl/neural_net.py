@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +48,72 @@ def init_mlp(layer_sizes, seed: int | np.random.Generator = 0) -> Mlp:
     return Mlp(sizes, weights, biases)
 
 
+def _parameter_count(sizes: tuple[int, ...]) -> int:
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def _views(sizes: tuple[int, ...], flat: np.ndarray) -> Mlp:
+    """An Mlp whose parameters are views into the last axis of `flat`.
+
+    The layout is the checkpoint's: per layer, the row-major weights, then
+    the biases. Leading axes of `flat` lead every view, and there a bias
+    keeps a unit row axis, so it broadcasts over a stacked batch.
+    """
+    lead = flat.shape[:-1]
+    weights, biases = [], []
+    cursor = 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(flat[..., cursor : cursor + fan_in * fan_out].reshape(*lead, fan_in, fan_out))
+        cursor += fan_in * fan_out
+        bias = flat[..., cursor : cursor + fan_out]
+        biases.append(bias.reshape(*lead, 1, fan_out) if lead else bias)
+        cursor += fan_out
+    return Mlp(sizes, weights, biases)
+
+
+class _ParameterBlock:
+    """Networks of one layout held as the rows of one (rows, n_params) float64 block.
+
+    `stacked` views every row at once: weights (rows, fan_in, fan_out) and
+    biases (rows, 1, fan_out), so `_forward_full(block.stacked, x)` over a
+    (rows, batch, width) input runs row r's network on x[r]. numpy computes
+    each slice of a stacked product as the 2-D product alone, so row r's
+    result has the bits of `forward(nets[r], x[r])` (a property test checks
+    this on the machine it runs on). `nets[r]` is row r's Mlp view; `grad`
+    is a flat buffer that `grads` views in the same layout.
+    """
+
+    def __init__(self, nets: Sequence[Mlp]) -> None:
+        sizes = nets[0].layer_sizes
+        self.params = np.empty((len(nets), _parameter_count(sizes)))
+        self.stacked = _views(sizes, self.params)
+        self.nets = [_views(sizes, row) for row in self.params]
+        for view, net in zip(self.nets, nets):
+            _copy_parameters(net, view)
+        self.grad = np.empty(self.params.shape[1])
+        self.grads = _gradient_views(sizes, self.grad)
+
+
+def _gradient_views(sizes: tuple[int, ...], flat: np.ndarray | None = None) -> GradientSet:
+    """A GradientSet viewing `flat` (a new buffer, if None) in the parameter layout."""
+    views = _views(sizes, np.empty(_parameter_count(sizes)) if flat is None else flat)
+    return GradientSet(views.weights, views.biases)
+
+
+def _copy_parameters(source: Mlp, dest: Mlp) -> Mlp:
+    """Overwrite dest's parameters with source's; both must share a layout."""
+    if source.layer_sizes != dest.layer_sizes:
+        raise ValueError(f"layer sizes {source.layer_sizes} do not match {dest.layer_sizes}")
+    for src, dst in zip((*source.weights, *source.biases), (*dest.weights, *dest.biases)):
+        dst[...] = src
+    return dest
+
+
 def _forward_full(net: Mlp, inputs: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return pre-activations and activations per layer (batch input)."""
+    """Return pre-activations and activations per layer (batch input).
+
+    `net` may be a _ParameterBlock's stacked view, with inputs stacked likewise.
+    """
     zs, activations = [], [inputs]
     a = inputs
     last = len(net.weights) - 1
@@ -147,7 +212,8 @@ def backward(
     selected, count = _selection(mask, tgt.shape)
     zs, activations = _forward_full(net, x)
     residual = np.where(selected, activations[-1] - tgt, 0.0)
-    return _backprop(net, zs, activations, residual, count)
+    grads = _gradient_views(net.layer_sizes)
+    return _backprop(net, zs, activations, residual, count, grads), grads
 
 
 def _column_backward(
@@ -155,14 +221,28 @@ def _column_backward(
 ) -> tuple[float, GradientSet]:
     """`backward` with a mask that selects output column columns[i] of row i.
 
-    The residual is scattered straight into zeros, so loss and gradients are
-    bit-identical to the masked call without building a target matrix or mask.
+    The residual is `backward`'s, with each target broadcast along its row, so
+    loss and gradients are bit-identical to the masked call without building a
+    target matrix.
     """
     zs, activations = _forward_full(net, inputs)
-    rows = np.arange(len(columns))
-    residual = np.zeros_like(activations[-1])
-    residual[rows, columns] = activations[-1][rows, columns] - targets
-    return _backprop(net, zs, activations, residual, len(columns))
+    grads = _gradient_views(net.layer_sizes)
+    return _column_backprop(net, zs, activations, columns, targets, grads), grads
+
+
+def _column_backprop(
+    net: Mlp,
+    zs: list[np.ndarray],
+    activations: list[np.ndarray],
+    columns: np.ndarray,
+    targets: np.ndarray,
+    out: GradientSet,
+) -> float:
+    """`_backprop` of the residual at output column columns[i] of row i, zero elsewhere."""
+    out_values = activations[-1]
+    selected = columns[:, None] == np.arange(out_values.shape[1])
+    residual = np.where(selected, out_values - targets[:, None], 0.0)
+    return _backprop(net, zs, activations, residual, len(columns), out)
 
 
 def _backprop(
@@ -171,18 +251,17 @@ def _backprop(
     activations: list[np.ndarray],
     residual: np.ndarray,
     count: int,
-) -> tuple[float, GradientSet]:
-    """Loss and gradients of sum(residual**2) / count, given a forward pass."""
+    out: GradientSet,
+) -> float:
+    """Loss of sum(residual**2) / count, given a forward pass; its gradients go to `out`."""
     loss = float((residual * residual).sum() / count)
-    d_weights = [np.empty(0)] * len(net.weights)
-    d_biases = [np.empty(0)] * len(net.biases)
     delta = 2.0 * residual / count
     for layer in range(len(net.weights) - 1, -1, -1):
-        d_weights[layer] = activations[layer].T @ delta
-        d_biases[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=out.weights[layer])
+        delta.sum(axis=0, out=out.biases[layer])
         if layer > 0:
             delta = (delta @ net.weights[layer].T) * (zs[layer - 1] > 0)
-    return loss, GradientSet(d_weights, d_biases)
+    return loss
 
 
 def _check_congruent(net: Mlp, grads: GradientSet) -> None:
@@ -243,7 +322,7 @@ def load_checkpoint(path: str | Path) -> Mlp:
         raise ValueError(f"{path}: checkpoint needs at least two layer sizes")
     if any(s < 1 for s in sizes):
         raise ValueError(f"{path}: all layer sizes must be >= 1")
-    expected = sum(i * o + o for i, o in zip(sizes, sizes[1:]))
+    expected = _parameter_count(sizes)
     if len(values) != expected:
         raise ValueError(f"{path}: expected {expected} parameters, found {len(values)}")
     if not all(map(math.isfinite, values)):

@@ -19,7 +19,14 @@ import numpy as np
 
 from .market_data import BarSeries, sma
 from .metrics import EquityCurve, Fill
-from .neural_net import Mlp, _column_backward, clone_parameters, forward, sgd_step
+from .neural_net import (
+    Mlp,
+    _ParameterBlock,
+    _column_backprop,
+    _copy_parameters,
+    _forward_full,
+    forward,
+)
 from .trading_env import Action, CostModel, Portfolio, ZERO_COST, _trade
 
 StateKey = tuple[int, ...]
@@ -101,41 +108,41 @@ class _ReplayArrays:
     Fills and evicts slots in ReplayBuffer's order and samples with the same
     single `rng.integers` draw, so a batch holds the same values a
     ReplayBuffer of Transitions would return, without per-step objects.
+    States and next states share one (2, capacity, width) ring, so a batch's
+    pair is one gather, stacked as the online/target forward takes it.
     """
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
         self.capacity = capacity
         self.size = 0
         self._pushes = 0
-        self.states = np.empty((capacity, obs_dim))
-        self.next_states = np.empty((capacity, obs_dim))
+        self.state_pairs = np.empty((2, capacity, obs_dim))
         self.actions = np.empty(capacity, dtype=np.int64)
         self.rewards = np.empty(capacity)
         self.terminal = np.empty(capacity, dtype=bool)
 
     def push(self, state, action: int, reward: float, next_state, terminal: bool) -> None:
         slot = self._pushes % self.capacity
-        self.states[slot] = state
+        self.state_pairs[0, slot] = state
+        self.state_pairs[1, slot] = next_state
         self.actions[slot] = action
         self.rewards[slot] = reward
-        self.next_states[slot] = next_state
         self.terminal[slot] = terminal
         self._pushes += 1
         self.size = min(self._pushes, self.capacity)
 
     def sample(self, k: int, rng: np.random.Generator):
-        """(states, actions, rewards, next_states, terminal) of k uniform draws."""
+        """(state pairs (2, k, width), actions, rewards, terminal) of k uniform draws."""
         i = rng.integers(0, self.size, size=k)
-        return self.states[i], self.actions[i], self.rewards[i], self.next_states[i], self.terminal[i]
+        return self.state_pairs.take(i, axis=1), self.actions[i], self.rewards[i], self.terminal[i]
 
 
 def _stack(batch: Sequence[Transition]):
     """A Transition list as the arrays _ReplayArrays.sample returns."""
     return (
-        np.stack([t.state for t in batch]),
+        np.stack([[t.state for t in batch], [t.next_state for t in batch]]),
         np.array([int(t.action) for t in batch]),
         np.array([t.reward for t in batch], dtype=float),
-        np.stack([t.next_state for t in batch]),
         np.array([t.terminal for t in batch], dtype=bool),
     )
 
@@ -268,6 +275,15 @@ def discretize(obs: np.ndarray, cuts: Sequence[Sequence[float]]) -> StateKey:
     )
 
 
+def _discretize_rows(obs: np.ndarray, cuts: Sequence[float]) -> list[StateKey]:
+    """`discretize` of each row of a matrix, with the same cut points for every feature.
+
+    One `searchsorted` bins the whole matrix, without a per-row call.
+    """
+    bins = np.searchsorted(np.asarray(cuts, dtype=float), np.asarray(obs, dtype=float), side="left")
+    return [tuple(row) for row in bins.tolist()]
+
+
 class QTable:
     """State key to one value per action; unvisited states read as zero."""
 
@@ -361,24 +377,33 @@ def select_action(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
-    if epsilon > 0.0:
-        if rng is None:
-            raise ValueError("epsilon > 0 requires a random generator")
-        if rng.random() < epsilon:
-            return _ACTIONS[rng.integers(0, len(_ACTIONS))]
-    return _ACTIONS[np.asarray(values, dtype=float).argmax()]
+    if epsilon > 0.0 and rng is None:
+        raise ValueError("epsilon > 0 requires a random generator")
+    explored = _explore(epsilon, rng)
+    return explored if explored is not None else _ACTIONS[np.asarray(values, dtype=float).argmax()]
+
+
+def _explore(epsilon: float, rng: np.random.Generator | None) -> Action | None:
+    """The epsilon draw: a random action with probability epsilon, else None.
+
+    At epsilon 0 nothing is drawn; otherwise one `random()`, then one
+    `integers(0, 3)` when it explores.
+    """
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return _ACTIONS[rng.integers(0, len(_ACTIONS))]
+    return None
 
 
 def bellman_targets(
     batch: Sequence[Transition], target_net: Mlp, gamma: float
 ) -> np.ndarray:
     """r_i, plus gamma * max of the target network at next_state_i unless terminal."""
-    _, _, rewards, next_states, terminal = _stack(batch)
-    return _targets(rewards, next_states, terminal, target_net, gamma)
+    state_pairs, _, rewards, terminal = _stack(batch)
+    return _targets(rewards, forward(target_net, state_pairs[1]), terminal, gamma)
 
 
-def _targets(rewards, next_states, terminal, target_net: Mlp, gamma: float) -> np.ndarray:
-    q_next = forward(target_net, next_states)
+def _targets(rewards, q_next: np.ndarray, terminal, gamma: float) -> np.ndarray:
+    """The Bellman targets, given the target network's values at each next state."""
     return rewards + gamma * np.where(terminal, 0.0, q_next.max(axis=1))
 
 
@@ -423,24 +448,34 @@ def dqn_update(
     lr: float,
 ) -> float:
     """One masked-MSE SGD step toward the Bellman targets; returns the loss."""
-    return _dqn_step(net, target_net, *_stack(batch), gamma, lr)
+    if lr < 0:
+        raise ValueError("learning rate must be non-negative")
+    block = _ParameterBlock((net, target_net))
+    loss = _dqn_step(block, *_stack(batch), gamma, lr)
+    _copy_parameters(block.nets[0], net)
+    return loss
 
 
 def _dqn_step(
-    net: Mlp,
-    target_net: Mlp,
-    states: np.ndarray,
+    block: _ParameterBlock,
+    state_pairs: np.ndarray,
     actions: np.ndarray,
     rewards: np.ndarray,
-    next_states: np.ndarray,
     terminal: np.ndarray,
     gamma: float,
     lr: float,
 ) -> float:
-    """dqn_update on a batch already in array form: only Q(s_i, a_i) regresses."""
-    targets = _targets(rewards, next_states, terminal, target_net, gamma)
-    loss, grads = _column_backward(net, states, actions, targets)
-    sgd_step(net, grads, lr)
+    """dqn_update of block row 0 (online) against row 1 (target): only Q(s_i, a_i) regresses.
+
+    One stacked forward gives the online net's values at the states and the
+    target net's at the next states; the SGD step updates row 0 in place.
+    """
+    zs, activations = _forward_full(block.stacked, state_pairs)
+    targets = _targets(rewards, activations[-1][1], terminal, gamma)
+    loss = _column_backprop(
+        block.nets[0], [z[0] for z in zs], [a[0] for a in activations], actions, targets, block.grads
+    )
+    block.params[0] -= lr * block.grad
     return loss
 
 
@@ -462,14 +497,17 @@ def train_dqn(
     Gradient steps start once the buffer holds batch_size transitions; the
     target network is re-cloned every target_sync_period environment steps.
     Replay lives in arrays that match a ReplayBuffer of Transitions slot for
-    slot and draw for draw. A non-finite loss or parameter raises ValueError.
+    slot and draw for draw. Online and target networks are the two rows of
+    one parameter block; `net` receives the online row when training ends.
+    A non-finite loss or parameter raises ValueError.
     """
     if cfg.batch_size > cfg.buffer_capacity:
         raise ValueError("batch_size cannot exceed buffer_capacity")
     _check_outputs(net)
     rng = np.random.default_rng(cfg.seed)
     schedule = _schedule_for(env, cfg)
-    target_net = clone_parameters(net)
+    block = _ParameterBlock((net, net))
+    online, params = block.nets[0], block.params
     replay = _ReplayArrays(cfg.buffer_capacity, net.layer_sizes[0])
     history: list[HistoryRow] = []
     step = 0
@@ -479,12 +517,14 @@ def train_dqn(
         losses: list[float] = []
         done = False
         while not done:
-            action = select_action(forward(net, obs), schedule.value(step), rng)
+            action = _explore(schedule.value(step), rng)
+            if action is None:
+                action = _ACTIONS[forward(online, obs).argmax()]
             state, next_obs, reward, done = env.step(state, action)
             replay.push(obs, int(action), reward, next_obs, done)
             if replay.size >= cfg.batch_size:
                 batch = replay.sample(cfg.batch_size, rng)
-                loss = _dqn_step(net, target_net, *batch, cfg.gamma, cfg.alpha)
+                loss = _dqn_step(block, *batch, cfg.gamma, cfg.alpha)
                 if not math.isfinite(loss):
                     raise ValueError(
                         f"training diverged: loss {loss} at episode {episode}, step {step}"
@@ -493,14 +533,14 @@ def train_dqn(
             obs = next_obs
             step += 1
             if step % cfg.target_sync_period == 0:
-                target_net = clone_parameters(net)
-        if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+                params[1] = params[0]
+        if not np.isfinite(params[0]).all():
             raise ValueError(
                 f"training diverged: non-finite parameters after episode {episode}, step {step}"
             )
         mean_loss = float(np.mean(losses)) if losses else None
         history.append(HistoryRow(episode, episode_eps, mean_loss, env.roi(state)))
-    return net, history
+    return _copy_parameters(online, net), history
 
 
 def simulate(

@@ -92,17 +92,20 @@ def evaluate_artifact(agent, name, text, *overrides):
                            "--checkpoint", write(tmp / name, text), *overrides]
 
 
-def trained_dqn(tmp):
-    """(config, checkpoint) of a DQN trained with indicators; its config echo sits beside it."""
-    cfg = config_file(tmp, "dqn", use_indicators=True)
+ARTIFACT_NAMES = {"dqn": "checkpoint_dqn.txt", "qtable": "qtable.csv"}
+
+
+def trained(tmp, agent="dqn"):
+    """(config, artifact) of `agent` trained with indicators; its config echo sits beside it."""
+    cfg = config_file(tmp, agent, use_indicators=True)
     assert main(["train", "--config", str(cfg), "--out", str(tmp / "trained")]) == 0
-    return cfg, tmp / "trained" / "checkpoint_dqn.txt"
+    return cfg, tmp / "trained" / ARTIFACT_NAMES[agent]
 
 
-def evaluate_trained(*overrides, echo=None):
-    """An evaluate argv for `trained_dqn` under `overrides`, its echo replaced by `echo` if given."""
+def evaluate_trained(*overrides, echo=None, agent="dqn"):
+    """An evaluate argv for `trained` under `overrides`, its echo replaced by `echo` if given."""
     def argv(tmp, r):
-        cfg, checkpoint = trained_dqn(tmp)
+        cfg, checkpoint = trained(tmp, agent)
         if echo is not None:
             write(checkpoint.parent / "config_echo.json", echo)
         return ["evaluate", "--config", cfg, "--checkpoint", checkpoint, *overrides]
@@ -213,6 +216,13 @@ CASES = {
     "evaluate-echo-other-normalization": (
         evaluate_trained("--normalization=unit_range"),
         "evaluate", 'artifact trained under normalization="signed_range", not "unit_range"'),
+    # each learner's own shaping key: the cut points keep the Q-table's bin range
+    "evaluate-echo-other-state-cuts": (
+        evaluate_trained("--state_cuts=[-0.01,0.01]", agent="qtable"),
+        "evaluate", r"artifact trained under state_cuts=\[-0\.001, 0\.001\], not \[-0\.01, 0\.01\]"),
+    "evaluate-echo-other-hidden-sizes": (
+        evaluate_trained("--hidden_sizes=[8]"),
+        "evaluate", r"artifact trained under hidden_sizes=\[32, 32\], not \[8\]"),
     "evaluate-echo-other-data": (
         evaluate_trained("--data.synthetic.seed=3"),
         "evaluate", r'artifact trained under data=\{"synthetic": \{.*"seed": 0'),
@@ -259,13 +269,30 @@ def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
     assert caught == []
 
 
-def test_evaluation_side_keys_may_differ_from_the_echo(tmp_path, capsys):
-    cfg, checkpoint = trained_dqn(tmp_path)
+def evaluates_trained(tmp_path, capsys, agent, *overrides):
+    """Whether `trained` evaluates under `overrides`: exit 0, no stderr, a test ROI line."""
+    cfg, artifact = trained(tmp_path, agent)
     code, out, err, _ = run_cli(capsys, [
-        "evaluate", "--config", cfg, "--checkpoint", checkpoint, "--out", tmp_path / "evaluated",
-        "--cost_rate=0.01", f"--test_start={DATES[TRAIN_BARS + 1]}", "--initial_shares=3",
+        "evaluate", "--config", cfg, "--checkpoint", artifact, "--out", tmp_path / "evaluated",
+        *overrides,
     ])
-    assert code == 0 and err == "" and "dqn: test ROI" in out
+    return code == 0 and err == "" and f"{agent}: test ROI" in out
+
+
+def test_evaluation_side_keys_may_differ_from_the_echo(tmp_path, capsys):
+    assert evaluates_trained(
+        tmp_path, capsys, "dqn",
+        "--cost_rate=0.01", f"--test_start={DATES[TRAIN_BARS + 1]}", "--initial_shares=3",
+    )
+
+
+# the key that shapes only the other learner's artifact
+@pytest.mark.parametrize("agent, override", [
+    ("dqn", "--state_cuts=[-0.5,0.5]"),
+    ("qtable", "--hidden_sizes=[8]"),
+])
+def test_other_learners_key_may_differ_from_the_echo(tmp_path, capsys, agent, override):
+    assert evaluates_trained(tmp_path, capsys, agent, override)
 
 
 def test_valid_reports_compare(tmp_path, capsys, reports):

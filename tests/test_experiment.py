@@ -813,7 +813,7 @@ class TestCli:
         )
         flags = {opt for action in synth._actions for opt in action.option_strings}
         assert flags - {"-h", "--help"} == {
-            *(f"--{f.name}" for f in fields(SyntheticSpec)), "--out", "--symbol"
+            *(f"--{f.name}" for f in fields(SyntheticSpec)), "--out"
         }
 
     def test_ingest_missing_file_is_stage_tagged(self, tmp_path, capsys):

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 from quantrl.neural_net import (
     GradientSet,
     Mlp,
+    _ParameterBlock,
     _column_backward,
+    _forward_full,
     backward,
     clone_parameters,
     forward,
@@ -196,6 +198,42 @@ class TestBackward:
         assert np.float64(column_loss).tobytes() == np.float64(loss).tobytes()
         for got, want in zip(column_grads.weights + column_grads.biases, grads.weights + grads.biases):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestParameterBlock:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_forward_is_forward_of_each_net(self, sizes, batch, seed):
+        # sizes of length 2 are networks with no hidden layer
+        rng = np.random.default_rng(seed)
+        nets = [init_mlp(sizes, seed=rng) for _ in range(2)]
+        for net in nets:
+            for b in net.biases:
+                b[:] = rng.normal(size=b.shape)
+        block = _ParameterBlock(nets)
+        x = rng.normal(size=(2, batch, sizes[0]))
+        _, activations = _forward_full(block.stacked, x)
+        for row, net in enumerate(nets):
+            want = forward(net, x[row])
+            assert activations[-1][row].shape == want.shape
+            assert activations[-1][row].tobytes() == want.tobytes()
+            assert forward(block.nets[row], x[row]).tobytes() == want.tobytes()
+
+    def test_views_share_the_block(self):
+        nets = [init_mlp((3, 4, 2), seed=s) for s in (0, 1)]
+        block = _ParameterBlock(nets)
+        block.params[1] = block.params[0]
+        for got, want in zip((*block.nets[1].weights, *block.nets[1].biases),
+                             (*nets[0].weights, *nets[0].biases)):
+            assert np.array_equal(got, want)
+        block.params[0] -= 1.0
+        assert np.array_equal(block.nets[0].weights[1], nets[0].weights[1] - 1.0)
+        assert np.array_equal(block.stacked.biases[0][0, 0], nets[0].biases[0] - 1.0)
+        assert nets[0].biases[0].tolist() == [0.0] * 4  # the source nets are copies
 
 
 class TestSgdStep:

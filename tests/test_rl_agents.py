@@ -17,6 +17,7 @@ from quantrl.rl_agents import (
     ReplayBuffer,
     TrainConfig,
     Transition,
+    _discretize_rows,
     baseline_buy_and_hold,
     baseline_sma_crossover,
     bellman_targets,
@@ -127,6 +128,20 @@ def memo_inputs(draw):
     return cuts, [np.array(obs) for obs in pool], [(0, False), *calls]
 
 
+@st.composite
+def row_inputs(draw):
+    """One set of cut points and a matrix of finite observations: on a cut, at
+    +-0.0 and beyond the outer cuts included."""
+    cuts = tuple(sorted(draw(st.sets(st.floats(-2.0, 2.0), min_size=1, max_size=4))))
+    dim = draw(st.integers(1, 4))
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, cuts[0] - 1.0, cuts[-1] + 1.0, *cuts]),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=30))
+    return cuts, np.array(rows)
+
+
 class TestDiscretize:
     CUTS = ((-0.001, 0.001),)
 
@@ -162,6 +177,14 @@ class TestDiscretize:
             assert disc(obs) == discretize(obs, cuts)
         with pytest.raises(ValueError, match="features"):
             disc(np.append(pool[0], 0.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_inputs())
+    def test_rows_match_discretize(self, inputs):
+        cuts, obs = inputs
+        keys = _discretize_rows(obs, cuts)
+        assert keys == [discretize(row, (cuts,) * obs.shape[1]) for row in obs]
+        assert all(type(i) is int for key in keys for i in key)
 
     def test_memo_stays_out_of_equality(self):
         used = Discretizer.uniform(2, (-0.001, 0.001))
@@ -395,6 +418,20 @@ class TestBellmanTargets:
         assert bellman_targets(batch, net, 0.99)[0] == pytest.approx(0.595, rel=1e-12)
 
 
+def masked_backward_step(net, target, batch, gamma, lr):
+    """dqn_update's reference: the public masked `backward`, then `sgd_step`."""
+    rows = np.arange(len(batch))
+    actions = np.array([t.action for t in batch])
+    target_matrix = np.zeros((len(batch), 3))
+    mask = np.zeros((len(batch), 3), dtype=bool)
+    target_matrix[rows, actions] = bellman_targets(batch, target, gamma)
+    mask[rows, actions] = True
+    states = np.stack([t.state for t in batch])
+    loss, grads = backward(net, states, target_matrix, mask)
+    sgd_step(net, grads, lr)
+    return loss
+
+
 class TestDqnUpdate:
     def test_equals_masked_backward_step(self):
         net = init_mlp((2, 5, 3), seed=4)
@@ -405,19 +442,48 @@ class TestDqnUpdate:
             transition(reward=0.25, action=2, tag=0.9),
         ]
         reference = clone_parameters(net)
-        targets = bellman_targets(batch, target, 0.9)
-        target_matrix = np.zeros((3, 3))
-        mask = np.zeros((3, 3), dtype=bool)
-        target_matrix[[0, 1, 2], [2, 0, 2]] = targets
-        mask[[0, 1, 2], [2, 0, 2]] = True
-        states = np.stack([t.state for t in batch])
-        expected_loss, grads = backward(reference, states, target_matrix, mask)
-        sgd_step(reference, grads, 0.05)
+        expected_loss = masked_backward_step(reference, target, batch, 0.9, 0.05)
 
         loss = dqn_update(net, target, batch, 0.9, 0.05)
         assert loss == expected_loss
         assert all(np.array_equal(a, b) for a, b in zip(net.weights, reference.weights))
         assert all(np.array_equal(a, b) for a, b in zip(net.biases, reference.biases))
+
+    def test_rejects_negative_learning_rate_and_other_layouts(self):
+        net = init_mlp((2, 5, 3), seed=4)
+        batch = [transition(reward=0.5, action=2, tag=0.3)]
+        with pytest.raises(ValueError, match="learning rate must be non-negative"):
+            dqn_update(net, clone_parameters(net), batch, 0.9, -0.05)
+        with pytest.raises(ValueError, match="do not match"):
+            dqn_update(net, init_mlp((2, 4, 3), seed=4), batch, 0.9, 0.05)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        batch=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_core_step_is_backward_and_sgd_step_bit_for_bit(self, sizes, batch, seed):
+        # the stacked online/target step, no hidden layer included, against the public path
+        rng = np.random.default_rng(seed)
+        layers = (*sizes, 3)
+        net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
+        transitions = [
+            Transition(rng.normal(size=sizes[0]), int(rng.integers(0, 3)), float(rng.normal()),
+                       rng.normal(size=sizes[0]), bool(rng.random() < 0.2))
+            for _ in range(batch)
+        ]
+        reference = clone_parameters(net)
+        expected_loss = masked_backward_step(reference, target, transitions, 0.95, 0.01)
+        target_before = clone_parameters(target)
+
+        loss = dqn_update(net, target, transitions, 0.95, 0.01)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        for got, want in zip((*net.weights, *net.biases), (*reference.weights, *reference.biases)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, want in zip((*target.weights, *target.biases),
+                             (*target_before.weights, *target_before.biases)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEpsilonSchedule:
@@ -563,16 +629,33 @@ class TestTrainDqn:
             train_dqn(env, cfg, init_mlp((3, 8, 2), seed=0))
 
     def test_matches_public_replay_reference(self):
+        self.check_public_replay_reference((8,), 4, 0.05)
+
+    @pytest.mark.parametrize(
+        "hidden, batch_size, eps_end",
+        [
+            ((), 4, 0.05),
+            ((5, 7, 3), 4, 0.05),
+            ((8,), 1, 0.05),
+            # epsilon is 0 for the last 8 steps, which draw nothing
+            ((8,), 4, 0.0),
+        ],
+    )
+    def test_matches_public_replay_reference_over_settings(self, hidden, batch_size, eps_end):
+        self.check_public_replay_reference(hidden, batch_size, eps_end)
+
+    def check_public_replay_reference(self, hidden, batch_size, eps_end):
         # 3 episodes x 13 steps = 39 pushes into 16 slots: the ring wraps twice
         env = make_env(np.linspace(100, 115, 14), obs_dim=3)
         cfg = TrainConfig(
-            alpha=0.01, episodes=3, batch_size=4, buffer_capacity=16,
-            target_sync_period=5, seed=3,
+            alpha=0.01, episodes=3, batch_size=batch_size, buffer_capacity=16,
+            target_sync_period=5, eps_end=eps_end, seed=3,
         )
-        trained, history = train_dqn(env, cfg, init_mlp((3, 8, 3), seed=3))
+        layers = (3, *hidden, 3)
+        trained, history = train_dqn(env, cfg, init_mlp(layers, seed=3))
 
         # the same loop through ReplayBuffer, Transition and dqn_update
-        net = init_mlp((3, 8, 3), seed=3)
+        net = init_mlp(layers, seed=3)
         rng = np.random.default_rng(cfg.seed)
         total_steps = cfg.episodes * env.steps_per_episode
         schedule = EpsilonSchedule(cfg.eps_start, cfg.eps_end, round(0.8 * total_steps))
