@@ -40,12 +40,11 @@ def init_mlp(layer_sizes, seed: int | np.random.Generator = 0) -> Mlp:
     if any(s < 1 for s in sizes):
         raise ValueError("all layer sizes must be >= 1")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return Mlp(sizes, weights, biases)
+    net = _views(sizes, np.zeros(_parameter_count(sizes)))
+    for w in net.weights:
+        limit = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return net
 
 
 def _parameter_count(sizes: tuple[int, ...]) -> int:
@@ -55,9 +54,10 @@ def _parameter_count(sizes: tuple[int, ...]) -> int:
 def _views(sizes: tuple[int, ...], flat: np.ndarray) -> Mlp:
     """An Mlp whose parameters are views into the last axis of `flat`.
 
-    The layout is the checkpoint's: per layer, the row-major weights, then
-    the biases. Leading axes of `flat` lead every view, and there a bias
-    keeps a unit row axis, so it broadcasts over a stacked batch.
+    The one declaration of the parameter layout, which is the checkpoint's:
+    per layer, the row-major weights, then the biases. Leading axes of `flat`
+    lead every view, and there a bias keeps a unit row axis, so it broadcasts
+    over a stacked batch.
     """
     lead = flat.shape[:-1]
     weights, biases = [], []
@@ -69,6 +69,11 @@ def _views(sizes: tuple[int, ...], flat: np.ndarray) -> Mlp:
         biases.append(bias.reshape(*lead, 1, fan_out) if lead else bias)
         cursor += fan_out
     return Mlp(sizes, weights, biases)
+
+
+def _flat(net: Mlp) -> np.ndarray:
+    """A new vector of any Mlp's parameters in the `_views` layout."""
+    return np.concatenate([a.ravel() for layer in zip(net.weights, net.biases) for a in layer])
 
 
 class _ParameterBlock:
@@ -136,13 +141,10 @@ def _check_width(net: Mlp, x: np.ndarray) -> None:
 def forward(net: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on one vector or a batch of row vectors."""
     x = np.asarray(inputs, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    _check_width(net, x)
-    _, activations = _forward_full(net, x)
-    out = activations[-1]
-    return out[0] if single else out
+    batch = _as_batch(x)
+    _check_width(net, batch)
+    out = _forward_full(net, batch)[1][-1]
+    return out[0] if x.ndim == 1 else out
 
 
 # Rows per stacked product in _row_forward; bounds its temporaries' memory.
@@ -205,8 +207,7 @@ def backward(
     """Loss and exact parameter gradients of the masked MSE."""
     x = _as_batch(inputs)
     tgt = _as_batch(targets)
-    if x.shape[1] != net.layer_sizes[0]:
-        raise ValueError("input width does not match first layer size")
+    _check_width(net, x)
     if tgt.shape != (x.shape[0], net.layer_sizes[-1]):
         raise ValueError("target shape does not match batch and output size")
     selected, count = _selection(mask, tgt.shape)
@@ -214,20 +215,6 @@ def backward(
     residual = np.where(selected, activations[-1] - tgt, 0.0)
     grads = _gradient_views(net.layer_sizes)
     return _backprop(net, zs, activations, residual, count, grads), grads
-
-
-def _column_backward(
-    net: Mlp, inputs: np.ndarray, columns: np.ndarray, targets: np.ndarray
-) -> tuple[float, GradientSet]:
-    """`backward` with a mask that selects output column columns[i] of row i.
-
-    The residual is `backward`'s, with each target broadcast along its row, so
-    loss and gradients are bit-identical to the masked call without building a
-    target matrix.
-    """
-    zs, activations = _forward_full(net, inputs)
-    grads = _gradient_views(net.layer_sizes)
-    return _column_backprop(net, zs, activations, columns, targets, grads), grads
 
 
 def _column_backprop(
@@ -238,7 +225,12 @@ def _column_backprop(
     targets: np.ndarray,
     out: GradientSet,
 ) -> float:
-    """`_backprop` of the residual at output column columns[i] of row i, zero elsewhere."""
+    """`_backprop` of the residual at output column columns[i] of row i, zero elsewhere.
+
+    The residual is `backward`'s under a mask that selects those columns, with
+    each target broadcast along its row, so loss and gradients are the masked
+    call's bit for bit without building a target matrix.
+    """
     out_values = activations[-1]
     selected = columns[:, None] == np.arange(out_values.shape[1])
     residual = np.where(selected, out_values - targets[:, None], 0.0)
@@ -264,36 +256,22 @@ def _backprop(
     return loss
 
 
-def _check_congruent(net: Mlp, grads: GradientSet) -> None:
-    if len(grads.weights) != len(net.weights) or len(grads.biases) != len(net.biases):
-        raise ValueError("gradient set does not match network layer count")
-    for w, dw in zip(net.weights, grads.weights):
-        if w.shape != dw.shape:
-            raise ValueError(f"weight gradient shape {dw.shape} does not match {w.shape}")
-    for b, db in zip(net.biases, grads.biases):
-        if b.shape != db.shape:
-            raise ValueError(f"bias gradient shape {db.shape} does not match {b.shape}")
-
-
 def sgd_step(net: Mlp, grads: GradientSet, lr: float) -> Mlp:
     """In-place update: parameter <- parameter - lr * gradient."""
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
-    _check_congruent(net, grads)
-    for w, dw in zip(net.weights, grads.weights):
-        w -= lr * dw
-    for b, db in zip(net.biases, grads.biases):
-        b -= lr * db
+    shapes = [[a.shape for a in arrays]
+              for arrays in (net.weights, net.biases, grads.weights, grads.biases)]
+    if shapes[2:] != shapes[:2]:
+        raise ValueError(f"gradient shapes {shapes[2:]} do not match parameter shapes {shapes[:2]}")
+    for p, g in zip((*net.weights, *net.biases), (*grads.weights, *grads.biases)):
+        p -= lr * g
     return net
 
 
 def clone_parameters(net: Mlp) -> Mlp:
     """Deep, independent copy; mutating one side never affects the other."""
-    return Mlp(
-        net.layer_sizes,
-        [w.copy() for w in net.weights],
-        [b.copy() for b in net.biases],
-    )
+    return _views(net.layer_sizes, _flat(net))
 
 
 def save_checkpoint(net: Mlp, path: str | Path) -> None:
@@ -303,9 +281,7 @@ def save_checkpoint(net: Mlp, path: str | Path) -> None:
     bit-exact.
     """
     lines = [CHECKPOINT_MAGIC, " ".join(str(s) for s in net.layer_sizes)]
-    for w, b in zip(net.weights, net.biases):
-        lines.extend(repr(float(v)) for v in w.ravel(order="C"))
-        lines.extend(repr(float(v)) for v in b)
+    lines.extend(map(repr, _flat(net).tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -327,13 +303,4 @@ def load_checkpoint(path: str | Path) -> Mlp:
         raise ValueError(f"{path}: expected {expected} parameters, found {len(values)}")
     if not all(map(math.isfinite, values)):
         raise ValueError(f"{path}: checkpoint holds non-finite parameters")
-    weights, biases = [], []
-    cursor = 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = np.array(values[cursor : cursor + fan_in * fan_out]).reshape(fan_in, fan_out)
-        cursor += fan_in * fan_out
-        b = np.array(values[cursor : cursor + fan_out])
-        cursor += fan_out
-        weights.append(w)
-        biases.append(b)
-    return Mlp(sizes, weights, biases)
+    return _views(sizes, np.array(values))

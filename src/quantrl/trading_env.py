@@ -89,8 +89,11 @@ def _trade(
         bought = math.floor((buy_fraction * cash) / unit_cost)
         total = bought * unit_cost
         # Guard against float rounding pushing the spend past available cash.
+        # Past 2**53 one share is below the count's float resolution; four of
+        # its ulps lower the product by over two of total's, so each pass
+        # lowers total.
         while bought > 0 and total > cash:
-            bought -= 1
+            bought -= 1 if bought <= 2**53 else 4 * int(math.ulp(bought))
             total = bought * unit_cost
         if bought > 0:
             return cash - total, shares + bought

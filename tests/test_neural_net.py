@@ -6,7 +6,6 @@ from quantrl.neural_net import (
     GradientSet,
     Mlp,
     _ParameterBlock,
-    _column_backward,
     _forward_full,
     backward,
     clone_parameters,
@@ -81,6 +80,24 @@ class TestInit:
     def test_invalid_size(self):
         with pytest.raises(ValueError, match=">= 1"):
             init_mlp((4, 0, 3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_draws_as_a_per_layer_loop(self, sizes, seed):
+        # the reference draws each layer's weights in turn into its own array
+        rng = np.random.default_rng(seed)
+        weights = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        net = init_mlp(sizes, seed=seed)
+        for got, want in zip(net.weights, weights, strict=True):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for got, fan_out in zip(net.biases, sizes[1:], strict=True):
+            assert got.tobytes() == np.zeros(fan_out).tobytes()
 
 
 class TestForward:
@@ -174,30 +191,10 @@ class TestBackward:
         for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
             assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-14)
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-        batch=st.integers(1, 8),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_column_backward_is_backward_with_one_hot_mask(self, sizes, batch, scale, seed):
-        # the DQN update's private path, bit for bit against the public one
-        rng = np.random.default_rng(seed)
-        net = init_mlp(sizes, seed=rng)
-        x = scale * rng.normal(size=(batch, sizes[0]))
-        columns = rng.integers(0, sizes[-1], size=batch)
-        chosen = scale * rng.normal(size=batch)
-        rows = np.arange(batch)
-        targets = scale * rng.normal(size=(batch, sizes[-1]))  # unselected entries must not count
-        targets[rows, columns] = chosen
-        mask = np.zeros(targets.shape, dtype=bool)
-        mask[rows, columns] = True
-        loss, grads = backward(net, x, targets, mask)
-        column_loss, column_grads = _column_backward(net, x, columns, chosen)
-        assert np.float64(column_loss).tobytes() == np.float64(loss).tobytes()
-        for got, want in zip(column_grads.weights + column_grads.biases, grads.weights + grads.biases):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    def test_width_mismatch(self):
+        net = init_mlp((4, 3), seed=0)
+        with pytest.raises(ValueError, match="input width 5 does not match first layer size 4"):
+            backward(net, np.ones((2, 5)), np.zeros((2, 3)))
 
 
 class TestParameterBlock:
@@ -265,9 +262,14 @@ class TestSgdStep:
 
     def test_shape_mismatch_rejected(self):
         net = init_mlp((2, 2), seed=0)
-        bad = GradientSet([np.zeros((3, 2))], [np.zeros(2)])
-        with pytest.raises(ValueError, match="shape"):
-            sgd_step(net, bad, 0.1)
+        for bad in (
+            GradientSet([np.zeros((3, 2))], [np.zeros(2)]),
+            GradientSet([np.zeros((2, 2))], [np.zeros(3)]),
+            GradientSet([np.zeros((2, 2))] * 2, [np.zeros(2)]),
+            GradientSet([np.zeros((2, 2))], []),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                sgd_step(net, bad, 0.1)
 
 
 class TestClone:
@@ -283,6 +285,15 @@ class TestClone:
         twin = clone_parameters(net)
         x = np.random.default_rng(0).normal(size=(7, 3))
         assert np.array_equal(forward(net, x), forward(twin, x))
+
+    def test_clone_of_list_built_net(self):
+        net = Mlp((1, 2, 1), [np.array([[1.0, -2.0]]), np.array([[2.0], [-1.0]])],
+                  [np.array([0.5, 0.25]), np.array([0.125])])
+        twin = clone_parameters(net)
+        for got, want in zip(twin.weights + twin.biases, net.weights + net.biases):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        twin.biases[1][0] = 9.0
+        assert net.biases[1][0] == 0.125
 
     def test_clone_of_clone(self):
         net = init_mlp((3, 4, 2), seed=8)

@@ -461,16 +461,19 @@ class TestDqnUpdate:
     @given(
         sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
         batch=st.integers(1, 64),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_core_step_is_backward_and_sgd_step_bit_for_bit(self, sizes, batch, seed):
-        # the stacked online/target step, no hidden layer included, against the public path
+    def test_core_step_is_backward_and_sgd_step_bit_for_bit(self, sizes, batch, scale, seed):
+        # the stacked online/target step, no hidden layer included, against the
+        # public path; its one-hot gradient is checked at three magnitudes
         rng = np.random.default_rng(seed)
         layers = (*sizes, 3)
         net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
         transitions = [
-            Transition(rng.normal(size=sizes[0]), int(rng.integers(0, 3)), float(rng.normal()),
-                       rng.normal(size=sizes[0]), bool(rng.random() < 0.2))
+            Transition(scale * rng.normal(size=sizes[0]), int(rng.integers(0, 3)),
+                       scale * float(rng.normal()), scale * rng.normal(size=sizes[0]),
+                       bool(rng.random() < 0.2))
             for _ in range(batch)
         ]
         reference = clone_parameters(net)

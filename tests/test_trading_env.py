@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 from datetime import date, timedelta
 
 import numpy as np
@@ -30,6 +32,21 @@ def make_window(prices, obs_dim=2):
 
 def make_env(prices, cash=100_000.0, **kwargs):
     return TradingEnv(make_window(prices), cash, **kwargs)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails a test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCostModelAndPortfolio:
@@ -104,6 +121,28 @@ class TestExecuteBuy:
             rate = float(rng.uniform(0.0, 0.05))
             p = execute_buy(Portfolio(cash, 0), price, costs=CostModel(rate))
             assert p.cash >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cash=st.floats(1.0, 1e306),
+        price=st.floats(0.01, 1e6),
+        rate=st.sampled_from([0.0, 0.001]) | st.floats(0.0, 0.5),
+        fraction=st.sampled_from([1.0]) | st.floats(0.01, 1.0),
+    )
+    @example(cash=1e30, price=94.12214747707523, rate=0.0, fraction=1.0)
+    def test_buy_ends_and_never_overspends_at_any_cash(self, cash, price, rate, fraction):
+        # past 2**53 shares a one-share step may leave the float spend unchanged
+        before = Portfolio(cash, 0)
+        with time_limit(2):
+            after = execute_buy(before, price, fraction, CostModel(rate))
+        unit_cost = price * (1.0 + rate)
+        assert after.cash >= 0.0
+        assert after.cash == cash - after.shares * unit_cost
+        wanted = math.floor((fraction * cash) / unit_cost)
+        if wanted <= 2**53:
+            assert after == reference_execute(before, Action.BUY, price, rate, fraction, 1.0)
+        else:
+            assert after.shares >= wanted * (1.0 - 1e-14)
 
 
 class TestExecuteSell:
