@@ -13,6 +13,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import Field, asdict, dataclass, fields
 from datetime import date
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -56,7 +57,6 @@ from .rl_agents import (
     _discretize_rows,
     baseline_buy_and_hold,
     baseline_sma_crossover,
-    select_action,
     simulate,
     train_dqn,
     train_qlearning,
@@ -278,15 +278,6 @@ def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> Synthetic
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a raw config mapping and fill documented defaults."""
-    try:
-        return _config_from_dict(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from None
-
-
-def _config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(CONFIG_KEYS)
@@ -510,13 +501,12 @@ def greedy_policy(
 ) -> Callable[[np.ndarray], list[int]]:
     """The agent's greedy action for each row of an observation matrix.
 
-    Each action is what `select_action(values, 0.0)` picks from that row's
-    action values, ties to the lowest index. The network's values come from
-    `_row_forward`, equal to per-row `forward`. An artifact that does not fit
+    Each is the first maximal entry of the row's action values, as in
+    `select_action(values, 0.0)`: the Q-table rows of the binned observations,
+    or `_row_forward`, equal to per-row `forward`. An artifact that does not fit
     observations of width `obs_dim` binned by cfg.state_cuts is a ValueError.
     """
     if cfg.agent == "qtable":
-        assert isinstance(artifact, QTable)
         bins = len(cfg.state_cuts)
         for key, _ in artifact.items():
             if len(key) != obs_dim or not all(0 <= i <= bins for i in key):
@@ -524,13 +514,12 @@ def greedy_policy(
                     f"q-table state {'-'.join(map(str, key))} does not fit the observations: "
                     f"expected {obs_dim} bin indices in 0..{bins}"
                 )
-        return lambda obs: [
-            select_action(artifact.action_values(key), 0.0)
-            for key in _discretize_rows(obs, cfg.state_cuts)
-        ]
-    assert isinstance(artifact, Mlp)
-    _check_outputs(artifact)
-    return lambda obs: np.argmax(_row_forward(artifact, obs), axis=1).tolist()
+        def values(obs):
+            return np.array([artifact.action_values(k) for k in _discretize_rows(obs, cfg.state_cuts)])
+    else:
+        _check_outputs(artifact)
+        values = partial(_row_forward, artifact)
+    return lambda obs: values(obs).argmax(axis=1).tolist()
 
 
 def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fill]]:
@@ -573,15 +562,13 @@ class Report:
 def _window_result(
     cfg: ExperimentConfig,
     kind: str,
-    artifact: Mlp | QTable | None,
+    policy: Callable | None,
     bars: BarSeries,
     window: MarketWindow,
 ) -> tuple[MetricsReport, EquityCurve, list[RoundTripTrade]]:
     """Evaluate one strategy on one window, matching its trades once."""
     window_bars = bars.slice_dates(window.dates[0], window.dates[-1])
     if kind in LEARNING_AGENTS:
-        assert artifact is not None
-        policy = greedy_policy(cfg, artifact, window.obs_dim)
         curve, fills = run_policy(make_env(cfg, window), policy)
     elif kind == "buy_and_hold":
         curve, fills = baseline_buy_and_hold(
@@ -632,10 +619,12 @@ def run_experiment(
             artifact, history = train_agent(cfg, prepared.train_window)
 
     with stage("evaluate"):
+        # An empty QTable is falsy: only None means there is no artifact.
+        policy = None if artifact is None else greedy_policy(cfg, artifact, prepared.test_window.obs_dim)
         strategies = {}
         for kind in dict.fromkeys((cfg.agent, "buy_and_hold")):
-            train_metrics = _window_result(cfg, kind, artifact, prepared.bars, prepared.train_window)[0]
-            test = _window_result(cfg, kind, artifact, prepared.bars, prepared.test_window)
+            train_metrics = _window_result(cfg, kind, policy, prepared.bars, prepared.train_window)[0]
+            test = _window_result(cfg, kind, policy, prepared.bars, prepared.test_window)
             strategies[kind] = StrategyResult(train_metrics, *test)
 
     return Report(cfg, strategies, history, artifact)
@@ -687,9 +676,9 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
     """The metrics document of a complete report directory.
 
     A read error is prefixed with the metrics.json path. The document must
-    hold a test window and test metrics per strategy, and every file it
-    implies must be present: emit_report writes metrics.json last, so a
-    directory missing one was changed afterwards.
+    hold a test window with string dates and decodable test metrics per
+    strategy, and every file it implies must be present: emit_report writes
+    metrics.json last, so a directory missing one was changed afterwards.
     """
     directory = Path(report_dir)
     path = directory / "metrics.json"
@@ -703,11 +692,18 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
         and isinstance(doc.get("strategies"), dict)
     ):
         raise ValueError(f"{path}: not a report, needs test_window and strategies objects")
+    if not all(isinstance(doc["test_window"].get(key), str) for key in ("start", "end")):
+        raise ValueError(f"{path}: test_window needs string start and end dates")
     names = ["config_echo.json", "history.csv"]
     for name, windows in doc["strategies"].items():
         test = windows.get("test") if isinstance(windows, dict) else None
         if not isinstance(test, dict) or any(key not in test for key, _ in _COMPARED.values()):
             raise ValueError(f"{path}: strategy {name!r} lacks complete test metrics")
+        for key, _ in _COMPARED.values():
+            try:
+                decode_metric(test[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}: strategy {name!r} test {key}: {exc}") from None
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
         if not (directory / name).is_file():

@@ -418,7 +418,7 @@ def train_qlearning(
     cfg: TrainConfig,
     discretizer: Callable[[np.ndarray], StateKey],
 ) -> tuple[QTable, list[HistoryRow]]:
-    """Tabular Q-learning: cfg.episodes full passes over the environment."""
+    """Tabular Q-learning, cfg.episodes full passes; a non-finite Q-value raises ValueError."""
     rng = np.random.default_rng(cfg.seed)
     schedule = _schedule_for(env, cfg)
     table = QTable()
@@ -436,6 +436,10 @@ def train_qlearning(
             q_update(table, key, action, reward, next_key, done, cfg.alpha, cfg.gamma)
             key = next_key
             step += 1
+        if not np.isfinite(list(table._q.values())).all():
+            raise ValueError(
+                f"training diverged: non-finite Q-values after episode {episode}, step {step}"
+            )
         history.append(HistoryRow(episode, episode_eps, None, env.roi(state)))
     return table, history
 

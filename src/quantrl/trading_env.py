@@ -86,7 +86,10 @@ def _trade(
     # Compared as ints: converting through Action(...) costs more than a trade.
     if action == _BUY:
         unit_cost = price * (1.0 + rate)
-        bought = math.floor((buy_fraction * cash) / unit_cost)
+        try:
+            bought = math.floor((buy_fraction * cash) / unit_cost)
+        except OverflowError:
+            raise ValueError(f"cash {cash!r} at price {price!r} overflows the share count") from None
         total = bought * unit_cost
         # Guard against float rounding pushing the spend past available cash.
         # Past 2**53 one share is below the count's float resolution; four of
@@ -227,10 +230,6 @@ class TradingEnv:
     @property
     def steps_per_episode(self) -> int:
         return len(self.window) - 1
-
-    @property
-    def obs_dim(self) -> int:
-        return self.window.obs_dim
 
     def reset(self) -> tuple[EnvState, np.ndarray]:
         portfolio = Portfolio(self.initial_cash, self.initial_shares)

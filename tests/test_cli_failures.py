@@ -170,6 +170,17 @@ CASES = {
     "train-baseline": (
         lambda tmp, r: ["train", "--config", config_file(tmp)],
         "train", "'buy_and_hold' has nothing to train"),
+    # wealth overflows float64 and the overflowed reward reaches the Q-table
+    "train-qtable-diverged": (
+        lambda tmp, r: ["train", "--config", config_file(
+            tmp, "qtable", data={"synthetic": {"kind": "trend", "length": 120, "drift": 0.05}},
+            episodes=3, seed=1, train_start="2020-01-06", train_end="2020-04-10",
+            test_start="2020-04-13", test_end="2020-06-19"), "--initial_cash=1e307"],
+        "train", "training diverged: non-finite Q-values after episode 2, step 198"),
+    # a sell pushes cash to inf, and the next buy cannot count its shares
+    "train-cash-overflow": (
+        lambda tmp, r: ["train", "--config", config_file(tmp, "dqn"), "--initial_cash=1.7e308"],
+        "train", "cash inf at price 100.0 overflows the share count"),
     "out-is-a-file": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--out", write(tmp / "taken", "")],
         "report", "File exists"),
@@ -238,6 +249,9 @@ CASES = {
         lambda tmp, r: ["compare", metrics_file(tmp, "[]")], "report", "not a report"),
     "compare-empty-object": (
         lambda tmp, r: ["compare", metrics_file(tmp, "{}")], "report", "not a report"),
+    "compare-empty-test-window": (
+        lambda tmp, r: ["compare", metrics_file(tmp, '{"test_window": {}, "strategies": {}}')],
+        "report", r"metrics\.json: test_window needs string start and end dates"),
     "compare-no-test-metrics": (
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows.pop("test")))],
@@ -249,7 +263,7 @@ CASES = {
     "compare-non-numeric-metric": (
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows["test"].update(roi=[1])))],
-        "report", r"float\(\) argument must be"),
+        "report", r"broken/metrics\.json: strategy 'buy_and_hold' test roi: float\(\) argument must be"),
     "compare-missing-config-echo": missing_file("config_echo.json"),
     "compare-missing-history": missing_file("history.csv"),
     "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),

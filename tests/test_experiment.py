@@ -145,7 +145,39 @@ def valid_raw_configs(draw):
     return raw
 
 
+# Any value Python's json reads: NaN, +-inf and integers too large for a float included.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_raw_configs(draw):
+    """A valid raw config with arbitrary JSON values under any subset of its keys and data's."""
+    raw = draw(valid_raw_configs())
+    synthetic = raw["data"].get("synthetic")
+    if synthetic is not None:
+        for key in draw(st.sets(st.sampled_from([f.name for f in fields(SyntheticSpec)]))):
+            synthetic[key] = draw(json_values)
+    if draw(st.booleans()):
+        raw["data"] = {draw(st.sampled_from(["csv", "synthetic"])): draw(json_values)}
+    for key in draw(st.sets(st.sampled_from(CONFIG_KEYS))):
+        raw[key] = draw(json_values)
+    return raw
+
+
 class TestConfig:
+    @settings(max_examples=500, deadline=None)
+    @given(fuzzed_raw_configs())
+    def test_refuses_only_with_config_error(self, raw):
+        # a config is parsed or refused with a message; no other exception escapes
+        try:
+            assert isinstance(config_from_dict(raw), ExperimentConfig)
+        except ConfigError:
+            pass
+
     def test_minimal_defaults(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps({"data": {"csv": "prices.csv"}, "agent": "dqn"}))

@@ -593,6 +593,15 @@ class TestTrainQLearning:
         assert np.abs(learned - q_star).max() < 1e-2
         assert len(history) == 2000
 
+    def test_non_finite_q_values_raise_at_episode_end(self):
+        # an overflowed reward must not reach a saved table
+        class Overflowing(ChainMdp):
+            REWARDS = np.full((3, 3), np.inf)
+
+        cfg = TrainConfig(alpha=0.1, episodes=2, seed=11)
+        with pytest.raises(ValueError, match="non-finite Q-values after episode 0, step [23]$"):
+            train_qlearning(Overflowing(), cfg, chain_discretizer)
+
     def test_history_rows(self):
         env = make_env(np.linspace(100, 110, 8))
         disc = Discretizer.uniform(2, (-0.001, 0.001))

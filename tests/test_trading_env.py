@@ -113,6 +113,10 @@ class TestExecuteBuy:
         with pytest.raises(ValueError):
             execute_buy(Portfolio(1000.0, 0), 10.0, fraction=0.0)
 
+    def test_share_count_overflow_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^cash 1e\+308 at price 0\.5 overflows the share count$"):
+            execute_buy(Portfolio(1e308, 0), 0.5)
+
     def test_cash_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(300):
