@@ -169,7 +169,7 @@ def fuzzed_raw_configs(draw):
 
 
 class TestConfig:
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(fuzzed_raw_configs())
     def test_refuses_only_with_config_error(self, raw):
         # a config is parsed or refused with a message; no other exception escapes
