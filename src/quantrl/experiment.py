@@ -62,7 +62,7 @@ from .rl_agents import (
     train_qlearning,
     write_history,
 )
-from .trading_env import Action, CostModel, MarketWindow, REWARD_MODES, TradingEnv
+from .trading_env import MAX_SHARES, Action, CostModel, MarketWindow, REWARD_MODES, TradingEnv
 
 # Learning agent -> (artifact file name, writer(artifact, path), reader(path),
 # the config key that shapes that artifact beyond the observations).
@@ -338,8 +338,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("need slow_period > fast_period >= 1")
     if cfg.initial_cash <= 0:
         raise ConfigError("initial_cash must be positive")
-    if cfg.initial_shares < 0:
-        raise ConfigError("initial_shares must be non-negative")
+    if not 0 <= cfg.initial_shares <= MAX_SHARES:
+        raise ConfigError(f"initial_shares must be in [0, 2**53]; got {cfg.initial_shares}")
     if not 0.0 <= cfg.cost_rate < 1.0:
         raise ConfigError("cost_rate must be in [0, 1)")
     for key in ("buy_fraction", "sell_fraction"):

@@ -37,8 +37,10 @@ class EquityCurve:
             raise ValueError("equity curve must be non-empty")
         if len(self.dates) != self.values.size:
             raise ValueError("dates and values must align")
-        if not np.isfinite(self.values).all() or self.values.min() <= 0:
-            raise ValueError("equity values must be finite and positive")
+        ok = np.isfinite(self.values) & (self.values > 0)
+        if not ok.all():
+            i = int(ok.argmin())
+            raise ValueError(f"equity on {self.dates[i]} is {self.values[i]}, not finite and positive")
         for prev, cur in zip(self.dates, self.dates[1:]):
             if cur <= prev:
                 raise ValueError("equity dates must be strictly increasing")

@@ -24,6 +24,8 @@ class Action(IntEnum):
 _HOLD, _BUY, _SELL = (int(a) for a in Action)
 # A step's reward: the fractional or the absolute change in marked wealth.
 REWARD_MODES = ("percentage", "absolute")
+# Share counts and their spends stay exact in float64 up to 2**53 shares.
+MAX_SHARES = 2**53
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class Portfolio:
             raise ValueError(f"cash must be non-negative, got {self.cash}")
         if self.shares < 0:
             raise ValueError(f"shares must be non-negative, got {self.shares}")
+        if self.shares > MAX_SHARES:
+            raise ValueError(f"shares must be at most 2**53, got {self.shares}")
 
 
 @dataclass(frozen=True)
@@ -80,23 +84,21 @@ def _trade(
 ) -> tuple[float, int]:
     """(cash, shares) after `action` at `price`; the inputs if nothing trades.
 
-    The one place the buy and sell arithmetic lives. It checks the action
-    only: callers check the price and the fractions, once or per call.
+    The one place the buy and sell arithmetic lives. It checks the action and
+    the share bound only: callers check price and fractions, once or per call.
     """
     # Compared as ints: converting through Action(...) costs more than a trade.
     if action == _BUY:
         unit_cost = price * (1.0 + rate)
-        try:
-            bought = math.floor((buy_fraction * cash) / unit_cost)
-        except OverflowError:
-            raise ValueError(f"cash {cash!r} at price {price!r} overflows the share count") from None
+        wanted = (buy_fraction * cash) / unit_cost
+        if not wanted <= MAX_SHARES - shares:  # exact, and false for inf and NaN
+            raise ValueError(f"cash {cash!r} at price {price!r} buys {wanted!r} shares"
+                             f" on top of {shares}, past the 2**53 share bound")
+        bought = math.floor(wanted)
         total = bought * unit_cost
         # Guard against float rounding pushing the spend past available cash.
-        # Past 2**53 one share is below the count's float resolution; four of
-        # its ulps lower the product by over two of total's, so each pass
-        # lowers total.
         while bought > 0 and total > cash:
-            bought -= 1 if bought <= 2**53 else 4 * int(math.ulp(bought))
+            bought -= 1
             total = bought * unit_cost
         if bought > 0:
             return cash - total, shares + bought
@@ -214,14 +216,13 @@ class TradingEnv:
             raise ValueError("data window needs at least 2 steps")
         if self.initial_cash <= 0:
             raise ValueError("initial cash must be positive")
-        if self.initial_shares < 0:
-            raise ValueError("initial shares must be non-negative")
         if self.reward_mode not in REWARD_MODES:
             raise ValueError(f"unknown reward mode {self.reward_mode!r}")
         if not (0.0 < self.buy_fraction <= 1.0 and 0.0 < self.sell_fraction <= 1.0):
             raise ValueError("buy/sell fractions must be in (0, 1]")
         object.__setattr__(self, "initial_cash", float(self.initial_cash))
         object.__setattr__(self, "initial_shares", int(self.initial_shares))
+        object.__setattr__(self, "_opening", Portfolio(self.initial_cash, self.initial_shares))
         # MarketWindow checked these prices; step reads them as Python floats.
         prices = self.window.prices.tolist()
         object.__setattr__(self, "_prices", prices)
@@ -232,9 +233,7 @@ class TradingEnv:
         return len(self.window) - 1
 
     def reset(self) -> tuple[EnvState, np.ndarray]:
-        portfolio = Portfolio(self.initial_cash, self.initial_shares)
-        state = EnvState(portfolio, 0, self._initial_wealth, False)
-        return state, self.window.observations[0]
+        return EnvState(self._opening, 0, self._initial_wealth, False), self.window.observations[0]
 
     def step(self, state: EnvState, action: Action | int) -> tuple[EnvState, np.ndarray, float, bool]:
         if state.done:

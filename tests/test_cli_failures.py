@@ -120,6 +120,10 @@ BAD_ROW_CSV = (
     "2020-01-02,10,9,11,10.5,10.4,1000\n"
 )
 
+TREND_1E300 = {"synthetic": {"kind": "trend", "length": 120, "drift": 0.05, "base": 1e300}}
+TREND_DATES = dict(train_start="2020-01-06", train_end="2020-04-10",
+                   test_start="2020-04-13", test_end="2020-06-19")
+
 # id -> (argv from (tmp_path, reports), stage, pattern the message must contain)
 CASES = {
     "config-missing": (
@@ -170,17 +174,30 @@ CASES = {
     "train-baseline": (
         lambda tmp, r: ["train", "--config", config_file(tmp)],
         "train", "'buy_and_hold' has nothing to train"),
-    # wealth overflows float64 and the overflowed reward reaches the Q-table
+    # about 1e7 shares at 1e300 a share: wealth overflows float64 and the
+    # overflowed reward reaches the Q-table
     "train-qtable-diverged": (
         lambda tmp, r: ["train", "--config", config_file(
-            tmp, "qtable", data={"synthetic": {"kind": "trend", "length": 120, "drift": 0.05}},
-            episodes=3, seed=1, train_start="2020-01-06", train_end="2020-04-10",
-            test_start="2020-04-13", test_end="2020-06-19"), "--initial_cash=1e307"],
+            tmp, "qtable", data=TREND_1E300, episodes=3, seed=1, **TREND_DATES),
+            "--initial_cash=1e307"],
         "train", "training diverged: non-finite Q-values after episode 2, step 198"),
-    # a sell pushes cash to inf, and the next buy cannot count its shares
+    # the first buy would hold about 1.7e306 shares, past what float64 counts exactly
     "train-cash-overflow": (
         lambda tmp, r: ["train", "--config", config_file(tmp, "dqn"), "--initial_cash=1.7e308"],
-        "train", "cash inf at price 100.0 overflows the share count"),
+        "train", r"cash 1\.7e\+308 at price 100\.0 buys 1\.7e\+306 shares on top of 0,"
+                 r" past the 2\*\*53 share bound"),
+    # train exited 0 here and run failed late at [evaluate] with no cause
+    "run-qtable-cash-overflow": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, "qtable"), "--initial_cash=1.7e308"],
+        "train", r"buys 1\.5523616351266226e\+306 shares on top of 0, past the 2\*\*53 share bound"),
+    # held shares inside the bound, marked wealth past the float64 range
+    "evaluate-equity-overflow": (
+        lambda tmp, r: ["run", "--config", config_file(
+            tmp, data=TREND_1E300, **TREND_DATES), "--initial_cash=2e307"],
+        "evaluate", r"equity on 2020-03-24 is inf, not finite and positive"),
+    "config-shares-past-2-53": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), "--initial_shares=9007199254740993"],
+        "config", r"initial_shares must be in \[0, 2\*\*53\]; got 9007199254740993"),
     "out-is-a-file": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--out", write(tmp / "taken", "")],
         "report", "File exists"),

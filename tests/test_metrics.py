@@ -69,6 +69,12 @@ class TestEquityCurve:
         with pytest.raises(ValueError, match="increasing"):
             EquityCurve((date(2020, 1, 2), date(2020, 1, 1)), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_the_first_bad_value_is_named_with_its_date(self, bad):
+        dates = tuple(date(2020, 1, d) for d in (1, 2, 3, 6))
+        with pytest.raises(ValueError, match=rf"^equity on 2020-01-03 is {bad}, not finite and positive$"):
+            EquityCurve(dates, np.array([100.0, 110.0, bad, math.inf]))
+
     def test_roi_and_returns(self):
         curve = curve_of([100.0, 110.0, 99.0])
         assert curve.roi() == pytest.approx(-0.01, rel=1e-12)

@@ -1,7 +1,9 @@
 import math
 import signal
+import sys
 from contextlib import contextmanager
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from quantrl.metrics import Fill
 from quantrl.rl_agents import simulate
 from quantrl.trading_env import (
+    MAX_SHARES,
     Action,
     CostModel,
     MarketWindow,
@@ -64,6 +67,12 @@ class TestCostModelAndPortfolio:
         with pytest.raises(ValueError):
             Portfolio(1.0, -1)
 
+    def test_shares_are_capped_at_2_53(self):
+        assert MAX_SHARES == 2**53
+        assert Portfolio(0.0, MAX_SHARES).shares == MAX_SHARES
+        with pytest.raises(ValueError, match=r"^shares must be at most 2\*\*53, got 9007199254740993$"):
+            Portfolio(0.0, MAX_SHARES + 1)
+
 
 class TestWealthAndRoi:
     def test_wealth(self):
@@ -114,7 +123,8 @@ class TestExecuteBuy:
             execute_buy(Portfolio(1000.0, 0), 10.0, fraction=0.0)
 
     def test_share_count_overflow_is_a_value_error(self):
-        with pytest.raises(ValueError, match=r"^cash 1e\+308 at price 0\.5 overflows the share count$"):
+        with pytest.raises(ValueError, match=r"^cash 1e\+308 at price 0\.5 buys inf shares on top"
+                                             r" of 0, past the 2\*\*53 share bound$"):
             execute_buy(Portfolio(1e308, 0), 0.5)
 
     def test_cash_never_negative(self):
@@ -128,25 +138,33 @@ class TestExecuteBuy:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        cash=st.floats(1.0, 1e306),
+        cash=st.floats(1.0, sys.float_info.max),
+        shares=st.sampled_from([0, MAX_SHARES - 1, MAX_SHARES]) | st.integers(0, MAX_SHARES),
         price=st.floats(0.01, 1e6),
         rate=st.sampled_from([0.0, 0.001]) | st.floats(0.0, 0.5),
         fraction=st.sampled_from([1.0]) | st.floats(0.01, 1.0),
     )
-    @example(cash=1e30, price=94.12214747707523, rate=0.0, fraction=1.0)
-    def test_buy_ends_and_never_overspends_at_any_cash(self, cash, price, rate, fraction):
-        # past 2**53 shares a one-share step may leave the float spend unchanged
-        before = Portfolio(cash, 0)
-        with time_limit(2):
-            after = execute_buy(before, price, fraction, CostModel(rate))
+    @example(cash=1e30, shares=0, price=94.12214747707523, rate=0.0, fraction=1.0)
+    @example(cash=2.0**53, shares=0, price=1.0, rate=0.0, fraction=1.0)
+    @example(cash=2.0, shares=MAX_SHARES - 2, price=1.0, rate=0.0, fraction=1.0)
+    @example(cash=3.0, shares=MAX_SHARES - 2, price=1.0, rate=0.0, fraction=1.0)
+    # the float sum 1 + 2.0**53 rounds to 2**53; the holding would be one past it
+    @example(cash=2.0**53, shares=1, price=1.0, rate=0.0, fraction=1.0)
+    @example(cash=sys.float_info.max, shares=0, price=0.01, rate=0.0, fraction=1.0)
+    def test_buy_stays_in_the_share_domain(self, cash, shares, price, rate, fraction):
+        # refused exactly when the unfloored holding passes 2**53 or is not finite
+        before = Portfolio(cash, shares)
         unit_cost = price * (1.0 + rate)
+        wanted = (fraction * cash) / unit_cost
+        with time_limit(2):
+            if not math.isfinite(wanted) or shares + Fraction(wanted) > 2**53:
+                with pytest.raises(ValueError, match=r"past the 2\*\*53 share bound$"):
+                    execute_buy(before, price, fraction, CostModel(rate))
+                return
+            after = execute_buy(before, price, fraction, CostModel(rate))
+        assert after == reference_execute(before, Action.BUY, price, rate, fraction, 1.0)
         assert after.cash >= 0.0
-        assert after.cash == cash - after.shares * unit_cost
-        wanted = math.floor((fraction * cash) / unit_cost)
-        if wanted <= 2**53:
-            assert after == reference_execute(before, Action.BUY, price, rate, fraction, 1.0)
-        else:
-            assert after.shares >= wanted * (1.0 - 1e-14)
+        assert after.cash == cash - (after.shares - shares) * unit_cost
 
 
 class TestExecuteSell:
@@ -204,6 +222,15 @@ class TestReset:
     def test_negative_initial_shares_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             make_env([10.0, 11.0], initial_shares=-1)
+
+    def test_initial_shares_past_2_53_rejected(self):
+        make_env([10.0, 11.0], initial_shares=MAX_SHARES)
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            make_env([10.0, 11.0], initial_shares=MAX_SHARES + 1)
+
+    def test_reset_reuses_the_opening_portfolio(self):
+        env = make_env([10.0, 11.0], cash=100.0, initial_shares=3)
+        assert env.reset()[0].portfolio is env.reset()[0].portfolio == Portfolio(100.0, 3)
 
     def test_settings_are_read_only(self):
         window = make_window([10.0, 11.0])
