@@ -383,6 +383,19 @@ def select_action(
     return explored if explored is not None else _ACTIONS[np.asarray(values, dtype=float).argmax()]
 
 
+def _greedy(row: Sequence[float]) -> int:
+    """`np.argmax` of a three-value row: the first NaN if there is one, else the first maximum."""
+    hold, buy, sell = row
+    # Every comparison with a NaN is false, so each test also says its operands are numbers.
+    if hold >= buy and hold >= sell:
+        return 0
+    if buy > hold and buy >= sell:
+        return 1
+    if sell > hold and sell > buy:
+        return 2
+    return next(i for i, v in enumerate(row) if v != v)
+
+
 def _explore(epsilon: float, rng: np.random.Generator | None) -> Action | None:
     """The epsilon draw: a random action with probability epsilon, else None.
 
@@ -418,29 +431,53 @@ def train_qlearning(
     cfg: TrainConfig,
     discretizer: Callable[[np.ndarray], StateKey],
 ) -> tuple[QTable, list[HistoryRow]]:
-    """Tabular Q-learning, cfg.episodes full passes; a non-finite Q-value raises ValueError."""
+    """Tabular Q-learning, cfg.episodes full passes; a non-finite Q-value raises ValueError.
+
+    Each step is `select_action` then `q_update`, inlined on rows of Python
+    floats: the same generator draws, the same greedy picks and the same
+    float64 arithmetic, so the table and history equal those two calls'. A
+    state gets its row on its first update, as `QTable._writable` adds it.
+    """
+    if not 0.0 < cfg.alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
+    alpha, gamma = cfg.alpha, cfg.gamma
     rng = np.random.default_rng(cfg.seed)
-    schedule = _schedule_for(env, cfg)
-    table = QTable()
+    random, integers = rng.random, rng.integers
+    epsilon_at = _schedule_for(env, cfg).value
+    env_step = env.step
+    width = len(_ACTIONS)
+    zero = [0.0] * width  # what an unvisited state reads as; never written
+    q: dict[StateKey, list[float]] = {}
     history: list[HistoryRow] = []
     step = 0
     for episode in range(cfg.episodes):
         state, obs = env.reset()
         key = discretizer(obs)
-        episode_eps = schedule.value(step)
+        episode_eps = epsilon_at(step)
         done = False
         while not done:
-            action = select_action(table.action_values(key), schedule.value(step), rng)
-            state, next_obs, reward, done = env.step(state, action)
+            epsilon = epsilon_at(step)
+            if epsilon > 0.0 and random() < epsilon:
+                action = int(integers(0, width))
+            else:
+                action = _greedy(q.get(key, zero))
+            state, next_obs, reward, done = env_step(state, _ACTIONS[action])
             next_key = discretizer(next_obs)
-            q_update(table, key, action, reward, next_key, done, cfg.alpha, cfg.gamma)
+            target = reward if done else reward + gamma * max(q.get(next_key, zero))
+            row = q.get(key)
+            if row is None:
+                row = q[key] = [0.0] * width
+            value = row[action]
+            row[action] = value + alpha * (target - value)
             key = next_key
             step += 1
-        if not np.isfinite(list(table._q.values())).all():
+        if not np.isfinite(list(q.values())).all():
             raise ValueError(
                 f"training diverged: non-finite Q-values after episode {episode}, step {step}"
             )
         history.append(HistoryRow(episode, episode_eps, None, env.roi(state)))
+    table = QTable()
+    table._q = {k: np.array(row, dtype=float) for k, row in q.items()}
     return table, history
 
 

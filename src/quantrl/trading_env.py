@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +57,9 @@ class Portfolio:
             raise ValueError(f"shares must be at most 2**53, got {self.shares}")
 
 
-@dataclass(frozen=True)
-class EnvState:
+class EnvState(NamedTuple):
+    """Where an episode stands after a step: read-only, equal when the fields are."""
+
     portfolio: Portfolio
     step_index: int
     wealth_prev: float
@@ -226,6 +228,9 @@ class TradingEnv:
         # MarketWindow checked these prices; step reads them as Python floats.
         prices = self.window.prices.tolist()
         object.__setattr__(self, "_prices", prices)
+        object.__setattr__(self, "_last", len(prices) - 1)
+        object.__setattr__(self, "_rate", self.costs.proportional_rate)
+        object.__setattr__(self, "_percentage", self.reward_mode == "percentage")
         object.__setattr__(self, "_initial_wealth", self.initial_cash + self.initial_shares * prices[0])
 
     @property
@@ -236,26 +241,24 @@ class TradingEnv:
         return EnvState(self._opening, 0, self._initial_wealth, False), self.window.observations[0]
 
     def step(self, state: EnvState, action: Action | int) -> tuple[EnvState, np.ndarray, float, bool]:
-        if state.done:
+        portfolio, t, wealth_prev, done = state
+        if done:
             raise ValueError("cannot step a finished episode")
-        t = state.step_index
         prices = self._prices
-        portfolio = state.portfolio
         cash, shares = _trade(
             portfolio.cash, portfolio.shares, action, prices[t],
-            self.costs.proportional_rate, self.buy_fraction, self.sell_fraction,
+            self._rate, self.buy_fraction, self.sell_fraction,
         )
         if shares != portfolio.shares:
             portfolio = Portfolio(cash, shares)
-        t_next = t + 1
-        marked = cash + shares * prices[t_next]
-        if self.reward_mode == "percentage":
-            reward = (marked - state.wealth_prev) / state.wealth_prev
+        t += 1
+        marked = cash + shares * prices[t]
+        if self._percentage:
+            reward = (marked - wealth_prev) / wealth_prev
         else:
-            reward = marked - state.wealth_prev
-        done = t_next == len(prices) - 1
-        next_state = EnvState(portfolio, t_next, marked, done)
-        return next_state, self.window.observations[t_next], reward, done
+            reward = marked - wealth_prev
+        done = t == self._last
+        return EnvState(portfolio, t, marked, done), self.window.observations[t], reward, done
 
     def roi(self, state: EnvState) -> float:
         return roi(self._initial_wealth, state.wealth_prev)

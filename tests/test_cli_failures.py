@@ -181,6 +181,11 @@ CASES = {
             tmp, "qtable", data=TREND_1E300, episodes=3, seed=1, **TREND_DATES),
             "--initial_cash=1e307"],
         "train", "training diverged: non-finite Q-values after episode 2, step 198"),
+    # training checks alpha once, before its first step; no qtable.csv is written
+    "train-qtable-alpha-above-1": (
+        lambda tmp, r: ["train", "--config", config_file(tmp, "qtable"), "--alpha=2",
+                        "--out", tmp / "out"],
+        "train", r"alpha must be in \(0, 1\]"),
     # the first buy would hold about 1.7e306 shares, past what float64 counts exactly
     "train-cash-overflow": (
         lambda tmp, r: ["train", "--config", config_file(tmp, "dqn"), "--initial_cash=1.7e308"],
@@ -298,6 +303,8 @@ def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
     assert code == 1
     assert re.fullmatch(rf"error: \[{stage}\] [^\n]*{pattern}[^\n]*\n", err), err
     assert caught == []
+    # a row that names tmp/out as its report directory must leave it unwritten
+    assert not (tmp_path / "out").exists()
 
 
 def evaluates_trained(tmp_path, capsys, agent, *overrides):

@@ -207,7 +207,10 @@ class TestReset:
 
     def test_reset_deterministic(self):
         env = make_env([10.0, 11.0, 12.0])
-        assert env.reset()[0] == env.reset()[0]
+        state = env.reset()[0]
+        assert state == env.reset()[0]
+        with pytest.raises(AttributeError):  # a state is read-only
+            state.done = True
 
     def test_initial_shares(self):
         env = make_env([10.0, 12.0], cash=100.0, initial_shares=5)
