@@ -49,9 +49,9 @@ from .metrics import (
 )
 from .neural_net import Mlp, _row_forward, init_mlp, load_checkpoint, save_checkpoint
 from .rl_agents import (
-    Discretizer,
     HistoryRow,
     QTable,
+    StateKey,
     TrainConfig,
     _check_outputs,
     _discretize_rows,
@@ -331,7 +331,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not cfg.hidden_sizes or any(s < 1 for s in cfg.hidden_sizes):
         raise ConfigError("hidden_sizes must be a non-empty list of positive integers")
     if not cfg.state_cuts or any(b <= a for a, b in zip(cfg.state_cuts, cfg.state_cuts[1:])):
-        raise ConfigError("state_cuts must be strictly increasing")
+        raise ConfigError("state_cuts must be a non-empty, strictly increasing list")
     if cfg.annualization <= 0:
         raise ConfigError("annualization must be positive")
     if not 1 <= cfg.fast_period < cfg.slow_period:
@@ -458,6 +458,10 @@ class PreparedData:
 def prepare_train(cfg: ExperimentConfig, bars: BarSeries) -> tuple[BarSeries, Normalizer, MarketWindow]:
     """Train-side artifacts only; never touches test-window rows."""
     train_bars = _slice_window(bars, "train", cfg.train_start, cfg.train_end)
+    data = cfg.data
+    if not isinstance(data, str) and data.kind == "gbm" and data.volatility == data.drift == 0:
+        raise ValueError("data.synthetic: gbm with volatility 0 and drift 0 is a constant series,"
+                         " which cannot be normalized; set volatility or drift")
     normalizer = fit_normalizer(daily_returns(train_bars, cfg.return_field), cfg.normalization)
     return train_bars, normalizer, build_window(train_bars, normalizer, cfg)
 
@@ -490,10 +494,16 @@ def train_agent(
         return None, []
     env = make_env(cfg, train_window)
     if cfg.agent == "qtable":
-        discretizer = Discretizer.uniform(train_window.obs_dim, cfg.state_cuts)
-        return train_qlearning(env, cfg, discretizer)
+        return train_qlearning(env, cfg, _state_keys(env, cfg.state_cuts))
     net = init_mlp((train_window.obs_dim, *cfg.hidden_sizes, len(Action)), seed=cfg.seed)
     return train_dqn(env, cfg, net)
+
+
+def _state_keys(env: TradingEnv, cuts: Sequence[float]) -> Callable[[np.ndarray], StateKey]:
+    """Each observation's key, binned up front and found by the identity of the row object
+    `env` hands out (one per step index, alive as long as `env`), not by its values."""
+    keys = dict(zip(map(id, env._rows), _discretize_rows(env.window.observations, cuts)))
+    return lambda obs: keys[id(obs)]
 
 
 def greedy_policy(
@@ -531,9 +541,8 @@ def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fil
     """
     window = env.window
     actions = [*policy(window.observations[:-1]), Action.HOLD]
-    state, _ = env.reset()
     return simulate(
-        window.prices, window.dates, state.portfolio, lambda t, portfolio: actions[t],
+        window.prices, window.dates, env._opening, lambda t, portfolio: actions[t],
         env.costs, env.buy_fraction, env.sell_fraction,
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from datetime import date
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
@@ -227,18 +228,12 @@ def write_history(rows: Sequence[HistoryRow], path: str | Path) -> None:
 
 @dataclass(frozen=True)
 class Discretizer:
-    """Maps observation vectors to per-feature bin indices via cut points.
-
-    Keys are memoized per observation (by its float64 bytes), so each
-    distinct observation is binned once per instance.
-    """
+    """Maps observation vectors to per-feature bin indices via cut points."""
 
     cuts: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cuts", tuple(tuple(c) for c in self.cuts))
-        # Not a field: the memo stays out of ==, hash and repr.
-        object.__setattr__(self, "_keys", {})
         if not self.cuts:
             raise ValueError("need cut points for at least one feature")
         for feature_cuts in self.cuts:
@@ -257,11 +252,7 @@ class Discretizer:
         return len(self.cuts)
 
     def __call__(self, obs: np.ndarray) -> StateKey:
-        raw = np.asarray(obs, dtype=float).tobytes()
-        key = self._keys.get(raw)
-        if key is None:
-            key = self._keys[raw] = discretize(obs, self.cuts)
-        return key
+        return discretize(obs, self.cuts)
 
 
 def discretize(obs: np.ndarray, cuts: Sequence[Sequence[float]]) -> StateKey:
@@ -407,6 +398,35 @@ def _explore(epsilon: float, rng: np.random.Generator | None) -> Action | None:
     return None
 
 
+def _pcg64_draws(bit_generator: np.random.BitGenerator, n: int, block: int = 1024):
+    """A fresh PCG64 Generator's `random()` and `integers(0, n)`, 2 <= n < 2**32, call for call.
+
+    Both decode raw words fetched `block` at a time: `random()` is a word's top 53 bits
+    times 2**-53; `integers` is numpy's 32-bit Lemire draw on a word's low half, then its
+    high half (kept across `random()` calls), redrawn while half * n % 2**32 < (2**32 - n) % n.
+    """
+    words = chain.from_iterable(iter(lambda: bit_generator.random_raw(block).tolist(), None))
+    threshold = (2**32 - n) % n
+    spare = None
+
+    def random() -> float:
+        return (next(words) >> 11) * 2.0**-53
+
+    def integers() -> int:
+        nonlocal spare
+        while True:
+            if spare is None:
+                word = next(words)
+                half, spare = word & 0xFFFFFFFF, word >> 32
+            else:
+                half, spare = spare, None
+            product = half * n
+            if product & 0xFFFFFFFF >= threshold:
+                return product >> 32
+
+    return random, integers
+
+
 def bellman_targets(
     batch: Sequence[Transition], target_net: Mlp, gamma: float
 ) -> np.ndarray:
@@ -434,15 +454,14 @@ def train_qlearning(
     """Tabular Q-learning, cfg.episodes full passes; a non-finite Q-value raises ValueError.
 
     Each step is `select_action` then `q_update`, inlined on rows of Python
-    floats: the same generator draws, the same greedy picks and the same
-    float64 arithmetic, so the table and history equal those two calls'. A
-    state gets its row on its first update, as `QTable._writable` adds it.
+    floats: the same draws (decoded from raw words), the same greedy picks and
+    the same float64 arithmetic, so the table and history equal those two
+    calls'. A state gets its row on its first update, as `QTable._writable` adds it.
     """
     if not 0.0 < cfg.alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     alpha, gamma = cfg.alpha, cfg.gamma
-    rng = np.random.default_rng(cfg.seed)
-    random, integers = rng.random, rng.integers
+    random, integers = _pcg64_draws(np.random.default_rng(cfg.seed).bit_generator, len(_ACTIONS))
     epsilon_at = _schedule_for(env, cfg).value
     env_step = env.step
     width = len(_ACTIONS)
@@ -458,7 +477,7 @@ def train_qlearning(
         while not done:
             epsilon = epsilon_at(step)
             if epsilon > 0.0 and random() < epsilon:
-                action = int(integers(0, width))
+                action = integers()
             else:
                 action = _greedy(q.get(key, zero))
             state, next_obs, reward, done = env_step(state, _ACTIONS[action])
@@ -545,6 +564,8 @@ def train_dqn(
     if cfg.batch_size > cfg.buffer_capacity:
         raise ValueError("batch_size cannot exceed buffer_capacity")
     _check_outputs(net)
+    # Numpy's own calls, not _pcg64_draws: the replay draw `integers(0, size,
+    # size=k)` shares the spare 32-bit half that `integers(0, 3)` leaves.
     rng = np.random.default_rng(cfg.seed)
     schedule = _schedule_for(env, cfg)
     block = _ParameterBlock((net, net))

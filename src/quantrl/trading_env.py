@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -200,9 +201,9 @@ class TradingEnv:
     One step consumes one day transition, so an episode over a window of W
     days emits exactly W - 1 steps. Sell with no shares and unaffordable
     buys degrade to Hold so exploration never crashes an episode.
-    Observations are exogenous: the one returned at step t is
-    window.observations[t], whatever the actions and the portfolio. Equality
-    is identity; the settings are read-only fields.
+    Observations are exogenous: the one returned at step t is a read-only
+    view of window.observations[t], the same object whatever the actions and
+    the portfolio. Equality is identity; the settings are read-only fields.
     """
 
     window: MarketWindow
@@ -237,8 +238,15 @@ class TradingEnv:
     def steps_per_episode(self) -> int:
         return len(self.window) - 1
 
+    @cached_property
+    def _rows(self) -> list[np.ndarray]:
+        """Read-only views of the observation rows: one object per step index, made at first use."""
+        observations = self.window.observations.view()
+        observations.flags.writeable = False
+        return list(observations)
+
     def reset(self) -> tuple[EnvState, np.ndarray]:
-        return EnvState(self._opening, 0, self._initial_wealth, False), self.window.observations[0]
+        return EnvState(self._opening, 0, self._initial_wealth, False), self._rows[0]
 
     def step(self, state: EnvState, action: Action | int) -> tuple[EnvState, np.ndarray, float, bool]:
         portfolio, t, wealth_prev, done = state
@@ -258,7 +266,7 @@ class TradingEnv:
         else:
             reward = marked - wealth_prev
         done = t == self._last
-        return EnvState(portfolio, t, marked, done), self.window.observations[t], reward, done
+        return EnvState(portfolio, t, marked, done), self._rows[t], reward, done
 
     def roi(self, state: EnvState) -> float:
         return roi(self._initial_wealth, state.wealth_prev)

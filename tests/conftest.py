@@ -2,7 +2,14 @@
 
 from datetime import date, timedelta
 
+import numpy as np
+
 from quantrl.market_data import Bar, BarSeries
+
+
+def pytest_report_header(config):
+    """Name the numpy build: the generator-stream tests compare against it."""
+    return f"numpy {np.__version__}"
 
 
 def make_series(closes, start=date(2020, 1, 1), symbol="TEST", volume=1_000_000.0):

@@ -143,6 +143,10 @@ CASES = {
     "config-empty-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": ""})],
         "config", "data.csv: expected a file path, got ''"),
+    # the hidden_sizes message names what an empty list lacks; so does this one
+    "config-empty-state-cuts": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, "qtable"), "--state_cuts=[]"],
+        "config", "state_cuts must be a non-empty, strictly increasing list"),
     "extra-arguments": (
         lambda tmp, r: ["ingest", "--csv", "x.csv", "--bogus"],
         "config", "unrecognized arguments: --bogus"),
@@ -165,6 +169,12 @@ CASES = {
     "synth-missing-length": (
         lambda tmp, r: ["synth", "--kind", "gbm", "--out", tmp / "t.csv"],
         "config", "--length is required"),
+    # volatility and drift default to 0: a constant series, with no return range to normalize
+    "run-gbm-flat": (
+        lambda tmp, r: ["run", "--config", config_file(
+            tmp, data={"synthetic": {"kind": "gbm", "length": LENGTH}})],
+        "ingest", "data.synthetic: gbm with volatility 0 and drift 0 is a constant series,"
+                  " which cannot be normalized; set volatility or drift"),
     "run-missing-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": str(tmp / "x.csv")})],
         "ingest", "No such file"),

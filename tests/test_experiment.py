@@ -654,6 +654,17 @@ class TestRunPolicy:
         assert got == fills
         assert {f.side for f in fills} == {"buy", "sell"}
 
+    def test_opens_without_reset(self):
+        # evaluation reads the observation matrix once, so it makes no per-row objects
+        cfg = sinusoid_config(agent="qtable", initial_shares=3)
+        window = prepare_data(cfg, load_bars(cfg)).test_window
+        env = make_env(cfg, window)
+        curve, fills = run_policy(env, lambda X: [Action.HOLD] * len(X))
+        assert "_rows" not in vars(env)
+        assert fills == [] and curve.values.tolist() == [
+            cfg.initial_cash + 3 * price for price in window.prices.tolist()
+        ]
+
 
 DQN_CONFIG = config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn"})
 

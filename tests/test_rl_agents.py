@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quantrl.experiment import config_from_dict, load_bars, make_env as make_config_env, prepare_train
+from quantrl.experiment import (
+    _state_keys, config_from_dict, load_bars, make_env as make_config_env, prepare_train,
+)
 from quantrl.market_data import generate_synthetic
 from quantrl.metrics import Fill, match_trades
 
@@ -19,6 +21,7 @@ from quantrl.rl_agents import (
     Transition,
     _discretize_rows,
     _greedy,
+    _pcg64_draws,
     baseline_buy_and_hold,
     baseline_sma_crossover,
     bellman_targets,
@@ -111,7 +114,7 @@ def chain_discretizer(obs):
 
 
 @st.composite
-def memo_inputs(draw):
+def call_inputs(draw):
     """Cut points, a pool of finite observations and a call order that repeats them."""
     dim = draw(st.integers(1, 4))
     cuts = tuple(
@@ -130,7 +133,7 @@ def memo_inputs(draw):
 
 
 @st.composite
-def row_inputs(draw):
+def row_inputs(draw, min_rows=1):
     """One set of cut points and a matrix of finite observations: on a cut, at
     +-0.0 and beyond the outer cuts included."""
     cuts = tuple(sorted(draw(st.sets(st.floats(-2.0, 2.0), min_size=1, max_size=4))))
@@ -139,7 +142,9 @@ def row_inputs(draw):
         st.sampled_from([0.0, -0.0, cuts[0] - 1.0, cuts[-1] + 1.0, *cuts]),
         st.floats(allow_nan=False, allow_infinity=False),
     )
-    rows = draw(st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=1, max_size=30))
+    rows = draw(
+        st.lists(st.lists(values, min_size=dim, max_size=dim), min_size=min_rows, max_size=30)
+    )
     return cuts, np.array(rows)
 
 
@@ -169,8 +174,8 @@ class TestDiscretize:
         assert disc(np.array([-1.0, 0.0, 1.0])) == (0, 1, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(memo_inputs())
-    def test_memo_matches_discretize(self, inputs):
+    @given(call_inputs())
+    def test_call_matches_discretize(self, inputs):
         cuts, pool, calls = inputs
         disc = Discretizer(cuts)
         for index, as_row in calls:
@@ -187,7 +192,22 @@ class TestDiscretize:
         assert keys == [discretize(row, (cuts,) * obs.shape[1]) for row in obs]
         assert all(type(i) is int for key in keys for i in key)
 
-    def test_memo_stays_out_of_equality(self):
+    @settings(max_examples=200, deadline=None)
+    @given(row_inputs(min_rows=2))
+    def test_training_keys_match_discretize(self, inputs):
+        """The key training reads for each observation an env hands out, in episode order."""
+        cuts, obs = inputs
+        dates = tuple(date(2020, 1, 1) + timedelta(days=i) for i in range(len(obs)))
+        env = TradingEnv(MarketWindow(dates, np.ones(len(obs)), obs), 100.0)
+        key_of = _state_keys(env, cuts)
+        state, row = env.reset()
+        keys = [key_of(row)]
+        while not state.done:
+            state, row, _, _ = env.step(state, Action.HOLD)
+            keys.append(key_of(row))
+        assert keys == [discretize(row, (cuts,) * obs.shape[1]) for row in obs]
+
+    def test_equality_is_by_cuts(self):
         used = Discretizer.uniform(2, (-0.001, 0.001))
         fresh = Discretizer.uniform(2, (-0.001, 0.001))
         assert used(np.array([0.5, -0.5])) == used(np.array([[0.5, -0.5]])) == (2, 0)
@@ -350,6 +370,81 @@ class TestSelectAction:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             select_action(np.zeros(3), 1.5, np.random.default_rng(0))
+
+
+class CraftedWords:
+    """A bit generator stand-in whose `random_raw` hands out the given 64-bit words in order."""
+
+    def __init__(self, words):
+        self.words = list(words)
+
+    def random_raw(self, n):
+        assert self.words, "asked for more words than were crafted"
+        taken, self.words = self.words[:n], self.words[n:]
+        return np.array(taken, dtype=np.uint64)
+
+
+def numpy_lemire(halves, n):
+    """numpy's `buffered_bounded_lemire_uint32` for `integers(0, n)`, over a stream of 32-bit draws."""
+    rng_excl = n
+    m = next(halves) * rng_excl
+    leftover = m & 0xFFFFFFFF
+    if leftover < rng_excl:
+        threshold = (0xFFFFFFFF - (n - 1)) % rng_excl
+        while leftover < threshold:
+            m = next(halves) * rng_excl
+            leftover = m & 0xFFFFFFFF
+    return m >> 32
+
+
+# per-step epsilons: none drawn at 0, an integers() call every step at 1
+epsilons = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), max_size=80
+)
+
+
+class TestPcg64Draws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1), epsilons, st.integers(1, 5),
+        st.sampled_from([3, 3, 2, 5, 2**31 + 1, 2**32 - 1]),
+    )
+    @example(7, [0.0] * 20, 1, 3)
+    @example(7, [1.0] * 20, 3, 3)
+    @example(11, [1.0, 0.0, 0.5] * 10, 2, 3)
+    def test_matches_a_live_generator(self, seed, steps, block, n):
+        """The epsilon decisions of training, drawn from blocks of `block` raw words."""
+        random, integers = _pcg64_draws(np.random.default_rng(seed).bit_generator, n, block)
+        ref = np.random.default_rng(seed)
+        for epsilon in steps:
+            if epsilon > 0.0:
+                u = random()
+                assert u == ref.random()
+                if u < epsilon:
+                    drawn = integers()
+                    assert type(drawn) is int and drawn == ref.integers(0, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0, 1, 2**32, 2**32 + 1, 2**64 - 1, 0xFFFFFFFF]),
+                st.integers(0, 2**64 - 1),
+            ),
+            min_size=12, max_size=12,
+        ),
+        st.sampled_from([3, 2, 5, 2**31 + 1]),
+    )
+    @example([0, 1 << 32, 0] + [7] * 9, 3)  # a zero low half, then both halves zero
+    def test_redraw_matches_numpy_lemire(self, words, n):
+        """A 32-bit draw whose product with n has low bits below (2**32 - n) % n is drawn again."""
+        halves = iter([half for w in words for half in (w & 0xFFFFFFFF, w >> 32)])
+        expected = []
+        with pytest.raises(StopIteration):
+            while True:
+                expected.append(numpy_lemire(halves, n))
+        _, integers = _pcg64_draws(CraftedWords(words), n, 2)
+        assert [integers() for _ in expected] == expected
 
 
 class TestReplayBuffer:
@@ -582,24 +677,33 @@ def trading_case(**extra):
     return build
 
 
-# id -> (builder of the env and its cut points, episodes, fewest states the table must reach)
+# id -> (builder of the env and its cut points, episodes, fewest states the table must reach,
+# (eps_start, eps_end))
 REFERENCE_CASES = {
-    "percentage-reward": (trading_case(), 8, 11),
-    "absolute-reward-half-sells": (trading_case(reward_mode="absolute", sell_fraction=0.5), 8, 11),
+    "percentage-reward": (trading_case(), 8, 11, (1.0, 0.05)),
+    "absolute-reward-half-sells": (
+        trading_case(reward_mode="absolute", sell_fraction=0.5), 8, 11, (1.0, 0.05)),
     # the next observation depends on the action, and an episode lasts 2 or 3 steps
-    "chain-mdp": (lambda: (ChainMdp(), ((0.5, 1.5),)), 200, 3),
+    "chain-mdp": (lambda: (ChainMdp(), ((0.5, 1.5),)), 200, 3, (1.0, 0.05)),
+    # greedy throughout: nothing is drawn
+    "percentage-reward-epsilon-0": (trading_case(), 8, 11, (0.0, 0.0)),
+    "chain-mdp-epsilon-0": (lambda: (ChainMdp(), ((0.5, 1.5),)), 200, 3, (0.0, 0.0)),
+    # random throughout: integers(0, 3) every step, both halves of each word
+    "percentage-reward-epsilon-1": (trading_case(), 8, 11, (1.0, 1.0)),
+    "chain-mdp-epsilon-1": (lambda: (ChainMdp(), ((0.5, 1.5),)), 200, 3, (1.0, 1.0)),
 }
 
 
 class TestTrainQLearning:
     @pytest.mark.parametrize("case", REFERENCE_CASES)
     def test_matches_twice_per_step_reference(self, case):
-        build, episodes, states = REFERENCE_CASES[case]
+        build, episodes, states, (eps_start, eps_end) = REFERENCE_CASES[case]
         env, cuts = build()
         train_cfg = TrainConfig(
-            alpha=0.2, gamma=0.9, episodes=episodes, seed=3, eps_decay_fraction=0.5
+            alpha=0.2, gamma=0.9, episodes=episodes, seed=3, eps_start=eps_start,
+            eps_end=eps_end, eps_decay_fraction=0.5,
         )
-        schedule = EpsilonSchedule(1.0, 0.05, episodes // 2 * env.steps_per_episode)
+        schedule = EpsilonSchedule(eps_start, eps_end, episodes // 2 * env.steps_per_episode)
         table, history = train_qlearning(env, train_cfg, Discretizer(cuts))
         ref_table, ref_history = reference_qlearning(env, train_cfg, cuts, schedule)
         assert len(table) >= states

@@ -231,6 +231,15 @@ class TestReset:
         with pytest.raises(ValueError, match=r"at most 2\*\*53"):
             make_env([10.0, 11.0], initial_shares=MAX_SHARES + 1)
 
+    def test_one_read_only_row_per_step_index(self):
+        env = make_env([10.0, 11.0, 12.0])
+        state, first = env.reset()
+        assert env.reset()[1] is first and not first.flags.writeable
+        rows = [env.step(state, action)[1] for action in Action]
+        assert rows[0] is rows[1] is rows[2] and not rows[0].flags.writeable
+        assert np.shares_memory(rows[0], env.window.observations[1])
+        assert env.window.observations.flags.writeable  # the window's own array is left alone
+
     def test_reset_reuses_the_opening_portfolio(self):
         env = make_env([10.0, 11.0], cash=100.0, initial_shares=3)
         assert env.reset()[0].portfolio is env.reset()[0].portfolio == Portfolio(100.0, 3)
