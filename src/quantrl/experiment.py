@@ -62,7 +62,9 @@ from .rl_agents import (
     train_qlearning,
     write_history,
 )
-from .trading_env import MAX_SHARES, Action, CostModel, MarketWindow, REWARD_MODES, TradingEnv
+from .trading_env import (
+    MAX_SHARES, Action, CostModel, MarketWindow, Portfolio, REWARD_MODES, TradingEnv,
+)
 
 # Learning agent -> (artifact file name, writer(artifact, path), reader(path),
 # the config key that shapes that artifact beyond the observations).
@@ -532,18 +534,19 @@ def greedy_policy(
     return lambda obs: values(obs).argmax(axis=1).tolist()
 
 
-def run_policy(env: TradingEnv, policy: Callable) -> tuple[EquityCurve, list[Fill]]:
+def run_policy(
+    cfg: ExperimentConfig, window: MarketWindow, policy: Callable
+) -> tuple[EquityCurve, list[Fill]]:
     """One greedy episode through `simulate`: daily wealth and executed fills.
 
     `policy` maps an observation matrix to one action per row. It is applied
     once, to the observations of every close but the last, where the episode
-    ends with Hold; a TradingEnv's observations do not depend on the actions.
+    ends with Hold; a window's observations do not depend on the actions.
     """
-    window = env.window
     actions = [*policy(window.observations[:-1]), Action.HOLD]
     return simulate(
-        window.prices, window.dates, env._opening, lambda t, portfolio: actions[t],
-        env.costs, env.buy_fraction, env.sell_fraction,
+        window.prices, window.dates, Portfolio(cfg.initial_cash, cfg.initial_shares),
+        lambda t, portfolio: actions[t], cfg.cost_model(), cfg.buy_fraction, cfg.sell_fraction,
     )
 
 
@@ -578,7 +581,7 @@ def _window_result(
     """Evaluate one strategy on one window, matching its trades once."""
     window_bars = bars.slice_dates(window.dates[0], window.dates[-1])
     if kind in LEARNING_AGENTS:
-        curve, fills = run_policy(make_env(cfg, window), policy)
+        curve, fills = run_policy(cfg, window, policy)
     elif kind == "buy_and_hold":
         curve, fills = baseline_buy_and_hold(
             window_bars, cfg.initial_cash, cfg.cost_model(), cfg.initial_shares

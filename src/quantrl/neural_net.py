@@ -217,26 +217,6 @@ def backward(
     return _backprop(net, zs, activations, residual, count, grads), grads
 
 
-def _column_backprop(
-    net: Mlp,
-    zs: list[np.ndarray],
-    activations: list[np.ndarray],
-    columns: np.ndarray,
-    targets: np.ndarray,
-    out: GradientSet,
-) -> float:
-    """`_backprop` of the residual at output column columns[i] of row i, zero elsewhere.
-
-    The residual is `backward`'s under a mask that selects those columns, with
-    each target broadcast along its row, so loss and gradients are the masked
-    call's bit for bit without building a target matrix.
-    """
-    out_values = activations[-1]
-    selected = columns[:, None] == np.arange(out_values.shape[1])
-    residual = np.where(selected, out_values - targets[:, None], 0.0)
-    return _backprop(net, zs, activations, residual, len(columns), out)
-
-
 def _backprop(
     net: Mlp,
     zs: list[np.ndarray],

@@ -23,7 +23,7 @@ from .metrics import EquityCurve, Fill
 from .neural_net import (
     Mlp,
     _ParameterBlock,
-    _column_backprop,
+    _backprop,
     _copy_parameters,
     _forward_full,
     forward,
@@ -531,10 +531,11 @@ def _dqn_step(
     target net's at the next states; the SGD step updates row 0 in place.
     """
     zs, activations = _forward_full(block.stacked, state_pairs)
-    targets = _targets(rewards, activations[-1][1], terminal, gamma)
-    loss = _column_backprop(
-        block.nets[0], [z[0] for z in zs], [a[0] for a in activations], actions, targets, block.grads
-    )
+    q, q_next = activations[-1]
+    targets = _targets(rewards, q_next, terminal, gamma)
+    residual = np.where(actions[:, None] == np.arange(q.shape[1]), q - targets[:, None], 0.0)
+    loss = _backprop(block.nets[0], [z[0] for z in zs], [a[0] for a in activations], residual,
+                     len(actions), block.grads)
     block.params[0] -= lr * block.grad
     return loss
 

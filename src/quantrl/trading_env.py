@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from datetime import date
 from enum import IntEnum
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -233,17 +232,13 @@ class TradingEnv:
         object.__setattr__(self, "_rate", self.costs.proportional_rate)
         object.__setattr__(self, "_percentage", self.reward_mode == "percentage")
         object.__setattr__(self, "_initial_wealth", self.initial_cash + self.initial_shares * prices[0])
+        observations = self.window.observations.view()
+        observations.flags.writeable = False
+        object.__setattr__(self, "_rows", list(observations))
 
     @property
     def steps_per_episode(self) -> int:
         return len(self.window) - 1
-
-    @cached_property
-    def _rows(self) -> list[np.ndarray]:
-        """Read-only views of the observation rows: one object per step index, made at first use."""
-        observations = self.window.observations.view()
-        observations.flags.writeable = False
-        return list(observations)
 
     def reset(self) -> tuple[EnvState, np.ndarray]:
         return EnvState(self._opening, 0, self._initial_wealth, False), self._rows[0]

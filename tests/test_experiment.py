@@ -649,18 +649,16 @@ class TestRunPolicy:
             values.append(state.portfolio.cash + state.portfolio.shares * price)
         values.append(state.wealth_prev)
 
-        curve, got = run_policy(env, lambda X: [policy(o) for o in X])
+        curve, got = run_policy(cfg, window, lambda X: [policy(o) for o in X])
         assert curve.values.tolist() == values
         assert got == fills
         assert {f.side for f in fills} == {"buy", "sell"}
 
     def test_opens_without_reset(self):
-        # evaluation reads the observation matrix once, so it makes no per-row objects
+        # the episode opens from the config's cash and shares, with no environment to reset
         cfg = sinusoid_config(agent="qtable", initial_shares=3)
         window = prepare_data(cfg, load_bars(cfg)).test_window
-        env = make_env(cfg, window)
-        curve, fills = run_policy(env, lambda X: [Action.HOLD] * len(X))
-        assert "_rows" not in vars(env)
+        curve, fills = run_policy(cfg, window, lambda X: [Action.HOLD] * len(X))
         assert fills == [] and curve.values.tolist() == [
             cfg.initial_cash + 3 * price for price in window.prices.tolist()
         ]

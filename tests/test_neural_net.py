@@ -6,9 +6,7 @@ from quantrl.neural_net import (
     GradientSet,
     Mlp,
     _ParameterBlock,
-    _column_backprop,
     _forward_full,
-    _gradient_views,
     backward,
     clone_parameters,
     forward,
@@ -192,33 +190,6 @@ class TestBackward:
         _, g2 = backward(net, x, base - 2.0 * residual)
         for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
             assert np.allclose(2.0 * a, b, rtol=1e-12, atol=1e-14)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
-        batch=st.integers(1, 8),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_column_backward_is_backward_with_one_hot_mask(self, sizes, batch, scale, seed):
-        # the DQN update's private column path, bit for bit against the public one
-        rng = np.random.default_rng(seed)
-        net = init_mlp(sizes, seed=rng)
-        x = scale * rng.normal(size=(batch, sizes[0]))
-        columns = rng.integers(0, sizes[-1], size=batch)
-        chosen = scale * rng.normal(size=batch)
-        rows = np.arange(batch)
-        targets = scale * rng.normal(size=(batch, sizes[-1]))  # unselected entries must not count
-        targets[rows, columns] = chosen
-        mask = np.zeros(targets.shape, dtype=bool)
-        mask[rows, columns] = True
-        loss, grads = backward(net, x, targets, mask)
-        zs, activations = _forward_full(net, x)
-        column_grads = _gradient_views(net.layer_sizes)
-        column_loss = _column_backprop(net, zs, activations, columns, chosen, column_grads)
-        assert np.float64(column_loss).tobytes() == np.float64(loss).tobytes()
-        for got, want in zip(column_grads.weights + column_grads.biases, grads.weights + grads.biases):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_width_mismatch(self):
         net = init_mlp((4, 3), seed=0)

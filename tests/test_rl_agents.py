@@ -10,7 +10,9 @@ from quantrl.experiment import (
 from quantrl.market_data import generate_synthetic
 from quantrl.metrics import Fill, match_trades
 
-from quantrl.neural_net import Mlp, backward, clone_parameters, forward, init_mlp, sgd_step
+from quantrl.neural_net import (
+    Mlp, _ParameterBlock, backward, clone_parameters, forward, init_mlp, sgd_step,
+)
 from quantrl.rl_agents import (
     Discretizer,
     EpsilonSchedule,
@@ -20,8 +22,10 @@ from quantrl.rl_agents import (
     TrainConfig,
     Transition,
     _discretize_rows,
+    _dqn_step,
     _greedy,
     _pcg64_draws,
+    _stack,
     baseline_buy_and_hold,
     baseline_sma_crossover,
     bellman_targets,
@@ -527,18 +531,44 @@ class TestBellmanTargets:
         assert bellman_targets(batch, net, 0.99)[0] == pytest.approx(0.595, rel=1e-12)
 
 
-def masked_backward_step(net, target, batch, gamma, lr):
-    """dqn_update's reference: the public masked `backward`, then `sgd_step`."""
+def masked_backward(net, target, batch, gamma, unselected=None):
+    """The public masked `backward` toward the Bellman targets of the taken actions.
+
+    `unselected` fills the target entries the mask leaves out (zeros if None).
+    """
     rows = np.arange(len(batch))
     actions = np.array([t.action for t in batch])
-    target_matrix = np.zeros((len(batch), 3))
+    target_matrix = np.zeros((len(batch), 3)) if unselected is None else unselected.copy()
     mask = np.zeros((len(batch), 3), dtype=bool)
     target_matrix[rows, actions] = bellman_targets(batch, target, gamma)
     mask[rows, actions] = True
     states = np.stack([t.state for t in batch])
-    loss, grads = backward(net, states, target_matrix, mask)
+    return backward(net, states, target_matrix, mask)
+
+
+def masked_backward_step(net, target, batch, gamma, lr):
+    """dqn_update's reference: the public masked `backward`, then `sgd_step`."""
+    loss, grads = masked_backward(net, target, batch, gamma)
     sgd_step(net, grads, lr)
     return loss
+
+
+def random_transitions(rng, width, batch, scale):
+    """`batch` transitions of `width`-wide states drawn from `rng` at magnitude `scale`."""
+    return [
+        Transition(scale * rng.normal(size=width), int(rng.integers(0, 3)),
+                   scale * float(rng.normal()), scale * rng.normal(size=width),
+                   bool(rng.random() < 0.2))
+        for _ in range(batch)
+    ]
+
+
+DQN_STEP_CASES = dict(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    batch=st.integers(1, 64),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
 
 
 class TestDqnUpdate:
@@ -567,24 +597,14 @@ class TestDqnUpdate:
             dqn_update(net, init_mlp((2, 4, 3), seed=4), batch, 0.9, 0.05)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
-        batch=st.integers(1, 64),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(**DQN_STEP_CASES)
     def test_core_step_is_backward_and_sgd_step_bit_for_bit(self, sizes, batch, scale, seed):
         # the stacked online/target step, no hidden layer included, against the
         # public path; its one-hot gradient is checked at three magnitudes
         rng = np.random.default_rng(seed)
         layers = (*sizes, 3)
         net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
-        transitions = [
-            Transition(scale * rng.normal(size=sizes[0]), int(rng.integers(0, 3)),
-                       scale * float(rng.normal()), scale * rng.normal(size=sizes[0]),
-                       bool(rng.random() < 0.2))
-            for _ in range(batch)
-        ]
+        transitions = random_transitions(rng, sizes[0], batch, scale)
         reference = clone_parameters(net)
         expected_loss = masked_backward_step(reference, target, transitions, 0.95, 0.01)
         target_before = clone_parameters(target)
@@ -596,6 +616,25 @@ class TestDqnUpdate:
         for got, want in zip((*target.weights, *target.biases),
                              (*target_before.weights, *target_before.biases)):
             assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(**DQN_STEP_CASES)
+    def test_step_gradients_are_masked_backward_bit_for_bit(self, sizes, batch, scale, seed):
+        # _dqn_step's one-hot residual, no hidden layer included: its loss and every
+        # gradient entry, which the updated parameters alone could hide by an ulp
+        rng = np.random.default_rng(seed)
+        layers = (*sizes, 3)
+        net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
+        transitions = random_transitions(rng, sizes[0], batch, scale)
+        unselected = scale * rng.normal(size=(batch, 3))  # entries the mask must not count
+        expected_loss, expected = masked_backward(net, target, transitions, 0.95, unselected)
+
+        block = _ParameterBlock((net, target))
+        loss = _dqn_step(block, *_stack(transitions), 0.95, 0.01)
+        assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+        for got, want in zip((*block.grads.weights, *block.grads.biases),
+                             (*expected.weights, *expected.biases)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestEpsilonSchedule:
