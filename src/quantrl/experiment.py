@@ -275,7 +275,10 @@ def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> Synthetic
             f"{prefix}kind: unknown synthetic kind {raw['kind']!r}; "
             f"valid kinds: {', '.join(SYNTHETIC_KINDS)}"
         )
-    return SyntheticSpec(**_field_values(fields(SyntheticSpec), raw, prefix))
+    values = _field_values(fields(SyntheticSpec), raw, prefix)
+    if values.get("seed", 0) < 0:
+        raise ConfigError(f"{prefix}seed must be >= 0, got {values['seed']}")
+    return SyntheticSpec(**values)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -353,9 +356,20 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def read_config(path: str | Path) -> dict:
-    """The raw JSON object of a config file, before its keys are validated."""
+    """The raw JSON object of a config file, before its keys are validated.
+
+    A key repeated in one object is refused: `json` would keep its last value.
+    """
+    def unique(pairs: list[tuple[str, Any]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -205,6 +205,8 @@ class TrainConfig:
         EpsilonSchedule(self.eps_start, self.eps_end)  # validates the epsilon range
         if not 0.0 < self.eps_decay_fraction <= 1.0:
             raise ValueError("eps_decay_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -6,9 +6,14 @@ outputs contradict the very formulas they illustrate (details at the two
 tests). Companion tests assert the formula-true values.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import time
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,38 @@ def test_criterion_7_run_determinism(tmp_path):
         assert first == second, f"{name} differs between identical runs"
         compared.append(name)
     print(f"[criterion 7] PASS byte-identical outputs: {', '.join(compared)}")
+
+
+def _cli(cwd, hash_seed, *args):
+    """`python -m quantrl.cli *args` in a fresh interpreter under PYTHONHASHSEED=hash_seed."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": src + os.pathsep + path if path else src}
+    done = subprocess.run([sys.executable, "-m", "quantrl.cli", *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("agent, artifact", [("qtable", "qtable.csv"), ("dqn", "checkpoint_dqn.txt")])
+def test_criterion_7_cross_process_determinism(tmp_path, agent, artifact):
+    # two interpreters with different string hashing write the same bytes, and
+    # evaluating the first run's artifact reproduces its report
+    config = sinusoid_experiment_config(agent) | {"episodes": 20 if agent == "qtable" else 3}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    for run_dir, hash_seed in (("first", "0"), ("second", "12345")):
+        _cli(tmp_path, hash_seed, "run", "--config", "c.json", "--out", run_dir)
+    _cli(tmp_path, "1", "evaluate", "--config", "c.json", "--checkpoint", f"first/{artifact}",
+         "--out", "evaluated")
+    first, second, evaluated = (tmp_path / d for d in ("first", "second", "evaluated"))
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in second.iterdir()) and artifact in names
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    reported = [n for n in names if n == "metrics.json" or n.startswith(("equity_", "trades_"))]
+    assert len(reported) == 5
+    for name in reported:
+        assert (first / name).read_bytes() == (evaluated / name).read_bytes(), name
 
 
 # --- criterion 8: buy-and-hold closed form ----------------------------------

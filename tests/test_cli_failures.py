@@ -147,6 +147,27 @@ CASES = {
     "config-empty-state-cuts": (
         lambda tmp, r: ["run", "--config", config_file(tmp, "qtable"), "--state_cuts=[]"],
         "config", "state_cuts must be a non-empty, strictly increasing list"),
+    # json keeps a repeated key's last value: this config would run buy-and-hold
+    "config-repeated-key": (
+        lambda tmp, r: ["run", "--config", write(
+            tmp / "c.json", '{"agent": "qtable", ' + json.dumps(config())[1:])],
+        "config", r"c\.json: repeated key 'agent'"),
+    "config-repeated-nested-key": (
+        lambda tmp, r: ["run", "--config", write(
+            tmp / "c.json", json.dumps(config()).replace('"kind"', '"length": 50, "kind"'))],
+        "config", r"c\.json: repeated key 'length'"),
+    # numpy refused these seeds with a message naming no key, or not at all
+    "config-negative-seed": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), "--seed", "-1"],
+        "config", "seed must be >= 0, got -1"),
+    "config-negative-synthetic-seed": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, data={"synthetic": {
+            "kind": "gbm", "length": LENGTH, "seed": -1, "volatility": 0.01}})],
+        "config", r"data\.synthetic\.seed must be >= 0, got -1"),
+    "synth-negative-seed": (
+        lambda tmp, r: ["synth", "--kind", "gbm", "--length", "40", "--seed", "-1",
+                        "--out", tmp / "t.csv"],
+        "config", "--seed must be >= 0, got -1"),
     "extra-arguments": (
         lambda tmp, r: ["ingest", "--csv", "x.csv", "--bogus"],
         "config", "unrecognized arguments: --bogus"),
@@ -155,6 +176,12 @@ CASES = {
     "ingest-bad-row": (
         lambda tmp, r: ["ingest", "--csv", write(tmp / "bad.csv", BAD_ROW_CSV)],
         "ingest", "2020-01-02: OHLC ordering violated"),
+    "ingest-empty-csv": (
+        lambda tmp, r: ["ingest", "--csv", write(tmp / "e.csv", "")],
+        "ingest", r"e\.csv: empty file, expected a header row"),
+    "ingest-no-data-rows": (
+        lambda tmp, r: ["ingest", "--csv", write(tmp / "h.csv", BAD_ROW_CSV.splitlines()[0] + "\n")],
+        "ingest", r"h\.csv: no data rows"),
     "synth-overflow": (
         lambda tmp, r: ["synth", "--kind", "trend", "--drift", "10", "--length", "400",
                         "--out", tmp / "t.csv"],
@@ -181,6 +208,10 @@ CASES = {
     "test-window-too-short": (
         lambda tmp, r: ["run", "--config", config_file(tmp, test_start=DATES[-1])],
         "ingest", "test window .* holds 1 bars, need >= 2"),
+    # 40 training bars cannot fill a 50-day observation window
+    "window-too-short-after-warm-up": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), "--window=50"],
+        "ingest", "window too short after feature warm-up"),
     "train-baseline": (
         lambda tmp, r: ["train", "--config", config_file(tmp)],
         "train", "'buy_and_hold' has nothing to train"),

@@ -245,7 +245,7 @@ class TestConfig:
             {"alpha": 0}, {"alpha": -1e-3}, {"gamma": 1.0}, {"gamma": -0.1}, {"episodes": 0},
             {"batch_size": 0}, {"buffer_capacity": -5}, {"target_sync_period": 0},
             {"eps_start": 1.5}, {"eps_start": 0.1, "eps_end": 0.2}, {"eps_end": -0.01},
-            {"eps_decay_fraction": 0}, {"eps_decay_fraction": 1.5},
+            {"eps_decay_fraction": 0}, {"eps_decay_fraction": 1.5}, {"seed": -1},
         ):
             with pytest.raises(ValueError) as expected:
                 TrainConfig(**bad)
@@ -256,6 +256,35 @@ class TestConfig:
             path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err == f"error: [config] {expected.value}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("data", None, "missing required key 'data'"),
+        ("agent", None, "missing required key 'agent'"),
+        ("train_start", "2030-01-01", "train_start must not be after train_end"),
+        ("test_end", "2000-01-01", "test_start must not be after test_end"),
+        ("window", 0, "window must be >= 1"),
+        ("hidden_sizes", [], "hidden_sizes must be a non-empty list of positive integers"),
+        ("hidden_sizes", [8, 0], "hidden_sizes must be a non-empty list of positive integers"),
+        ("annualization", 0, "annualization must be positive"),
+        ("fast_period", 30, "need slow_period > fast_period >= 1"),
+        ("fast_period", 0, "need slow_period > fast_period >= 1"),
+        ("initial_cash", 0, "initial_cash must be positive"),
+        ("sma_period", 0, "indicator periods must be >= 1"),
+        ("rsi_period", 0, "indicator periods must be >= 1"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("data", {"synthetic": {"kind": "gbm", "length": 60, "seed": -1}},
+         "data.synthetic.seed must be >= 0, got -1"),
+    ])
+    def test_one_key_edit_is_refused_with_its_message(self, key, value, message):
+        # each edit of a valid config, or removal when value is None, breaks one rule
+        raw = config_to_dict(sinusoid_config())
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+        with pytest.raises(ConfigError) as refused:
+            config_from_dict(raw)
+        assert str(refused.value) == message
 
     def test_coercion_errors_name_the_key(self):
         base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
