@@ -271,9 +271,6 @@ class TestConfig:
         ("initial_cash", 0, "initial_cash must be positive"),
         ("sma_period", 0, "indicator periods must be >= 1"),
         ("rsi_period", 0, "indicator periods must be >= 1"),
-        ("seed", -1, "seed must be >= 0, got -1"),
-        ("data", {"synthetic": {"kind": "gbm", "length": 60, "seed": -1}},
-         "data.synthetic.seed must be >= 0, got -1"),
     ])
     def test_one_key_edit_is_refused_with_its_message(self, key, value, message):
         # each edit of a valid config, or removal when value is None, breaks one rule

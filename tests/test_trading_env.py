@@ -393,11 +393,24 @@ class TestAccountingProperties:
             assert reward == 0.0
 
 
+class PastShareBound(Exception):
+    """The reference's buy would hold more than 2**53 shares, which the program refuses."""
+
+
+SHARE_BOUND = r"past the 2\*\*53 share bound"
+
+
 def reference_execute(portfolio, action, price, rate, buy_fraction, sell_fraction):
-    """One trade as execute_buy/execute_sell computed it before the shared kernel."""
+    """One trade as execute_buy/execute_sell computed it before the shared kernel.
+
+    A buy whose unfloored holding would pass 2**53 shares raises PastShareBound.
+    """
     if action == Action.BUY:
         unit_cost = price * (1.0 + rate)
-        bought = math.floor((buy_fraction * portfolio.cash) / unit_cost)
+        wanted = (buy_fraction * portfolio.cash) / unit_cost
+        if portfolio.shares + Fraction(wanted) > MAX_SHARES:
+            raise PastShareBound
+        bought = math.floor(wanted)
         if bought <= 0:
             return portfolio
         total = bought * unit_cost
@@ -435,6 +448,9 @@ def trading_inputs(draw):
 # floor(55257.84 / 418.62) whole shares cost more than 55257.84 after rounding,
 # so the buy's rounding guard has to give one back.
 ROUNDING_GUARD = ([418.62, 420.0], [Action.BUY, Action.HOLD], 55257.84, 0, 0.0, (1.0, 1.0))
+# Each round trip between 1 and 1e4 multiplies cash by 1e4, so the fourth buy
+# (1e18 shares) passes the 2**53 share bound.
+SHARE_BOUND_RUN = ([1.0, 1e4] * 4, [Action.BUY, Action.SELL] * 4, 1e6, 0, 0.0, (1.0, 1.0))
 
 
 class TestStepAndSimulateMatchReference:
@@ -448,6 +464,7 @@ class TestStepAndSimulateMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(trading_inputs(), st.sampled_from(["percentage", "absolute"]))
     @example(ROUNDING_GUARD, "percentage")
+    @example(SHARE_BOUND_RUN, "percentage")
     def test_step_equals_reference(self, inputs, reward_mode):
         prices, actions, cash, shares, rate, fractions = inputs
         costs = CostModel(rate)
@@ -456,8 +473,15 @@ class TestStepAndSimulateMatchReference:
         portfolio, wealth_prev = Portfolio(cash, shares), cash + shares * prices[0]
         got, want = [], []
         for t, action in enumerate(actions[:-1]):
+            try:
+                expected = reference_execute(portfolio, action, prices[t], rate, *fractions)
+            except PastShareBound:
+                with pytest.raises(ValueError, match=SHARE_BOUND):
+                    env.step(state, action)
+                with pytest.raises(ValueError, match=SHARE_BOUND):
+                    execute_action(portfolio, action, prices[t], costs, *fractions)
+                break
             state, _, reward, done = env.step(state, action)
-            expected = reference_execute(portfolio, action, prices[t], rate, *fractions)
             assert execute_action(portfolio, action, prices[t], costs, *fractions) == expected
             portfolio = expected
             marked = wealth(portfolio, prices[t + 1])
@@ -476,6 +500,7 @@ class TestStepAndSimulateMatchReference:
     @settings(max_examples=200, deadline=None)
     @given(trading_inputs())
     @example(ROUNDING_GUARD)
+    @example(SHARE_BOUND_RUN)
     def test_simulate_equals_reference(self, inputs):
         prices, actions, cash, shares, rate, fractions = inputs
         dates = make_window(prices).dates
@@ -486,17 +511,22 @@ class TestStepAndSimulateMatchReference:
             return actions[t]
 
         start = Portfolio(cash, shares)
-        curve, fills = simulate(prices, dates, start, decide, CostModel(rate), *fractions)
         portfolio, want_seen, want_values, want_fills = start, [], [], []
-        for t, price in enumerate(prices):
-            want_seen.append(portfolio)
-            after = reference_execute(portfolio, actions[t], price, rate, *fractions)
-            delta = after.shares - portfolio.shares
-            if delta:
-                side = "buy" if delta > 0 else "sell"
-                want_fills.append(Fill(dates[t], side, abs(delta), price, abs(delta) * price * rate))
-            portfolio = after
-            want_values.append(wealth(portfolio, price))
+        try:
+            for t, price in enumerate(prices):
+                want_seen.append(portfolio)
+                after = reference_execute(portfolio, actions[t], price, rate, *fractions)
+                delta = after.shares - portfolio.shares
+                if delta:
+                    side = "buy" if delta > 0 else "sell"
+                    want_fills.append(Fill(dates[t], side, abs(delta), price, abs(delta) * price * rate))
+                portfolio = after
+                want_values.append(wealth(portfolio, price))
+        except PastShareBound:
+            with pytest.raises(ValueError, match=SHARE_BOUND):
+                simulate(prices, dates, start, decide, CostModel(rate), *fractions)
+            return
+        curve, fills = simulate(prices, dates, start, decide, CostModel(rate), *fractions)
         assert [p.shares for p in seen] == [p.shares for p in want_seen]
         assert bits([p.cash for p in seen]) == bits([p.cash for p in want_seen])
         assert bits(curve.values) == bits(want_values)
