@@ -1,8 +1,11 @@
 """Command-line surface: ingest, synth, train, evaluate, run, compare.
 
-Every failure exits nonzero with a stage-tagged message on stderr. Config
-values can be overridden per run with --key=value tokens using dotted
-paths, e.g. --episodes=50 or --data.synthetic.length=300.
+Once argparse has parsed the command line, every failure is one
+stage-tagged line on stderr and exit status 1; a command line argparse
+refuses (a missing --config, --seed abc, an unknown subcommand) prints its
+usage and an error line and exits 2. Config values can be overridden per
+run with --key=value tokens using dotted paths, e.g. --episodes=50 or
+--data.synthetic.length=300.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from .experiment import (
     load_artifact,
     load_bars,
     load_report_metrics,
+    parse_json,
     prepare_train,
-    read_config,
+    read_json,
     run_experiment,
     stage,
     synthetic_from_dict,
@@ -49,9 +53,11 @@ def _apply_overrides(raw: dict, tokens: Sequence[str]) -> dict:
             raise ConfigError(f"unrecognized argument {token!r}; overrides look like --key=value")
         dotted, text = match.groups()
         try:
-            value = json.loads(text)
+            value = parse_json(text)
         except json.JSONDecodeError:
             value = text
+        except ValueError as exc:
+            raise ConfigError(f"--{dotted}: {exc}") from None
         node = raw
         *parents, leaf = dotted.split(".")
         for part in parents:
@@ -64,7 +70,7 @@ def _apply_overrides(raw: dict, tokens: Sequence[str]) -> dict:
 
 def _load_config(args: argparse.Namespace, extras: Sequence[str]) -> ExperimentConfig:
     with stage("config"):
-        raw = _apply_overrides(read_config(args.config), extras)
+        raw = _apply_overrides(read_json(args.config), extras)
         if getattr(args, "seed", None) is not None:
             raw["seed"] = args.seed
         return config_from_dict(raw)

@@ -95,8 +95,12 @@ class ConfigError(ValueError):
     """Experiment configuration is missing, malformed, or inconsistent."""
 
 
-class ExperimentError(RuntimeError):
-    """Pipeline failure tagged with the stage it occurred in."""
+class ExperimentError(Exception):
+    """Pipeline failure tagged with the stage it occurred in.
+
+    Not a RuntimeError: contextlib takes one raised from a StopIteration for a
+    PEP 479 conversion, and `stage` would re-raise the StopIteration untagged.
+    """
 
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(f"[{stage}] {message}")
@@ -355,33 +359,33 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def read_config(path: str | Path) -> dict:
-    """The raw JSON object of a config file, before its keys are validated.
-
-    A key repeated in one object is refused: `json` would keep its last value.
-    """
+def parse_json(text: str) -> Any:
+    """`json.loads`, refusing a key repeated in any object: `json` would keep its last value."""
     def unique(pairs: list[tuple[str, Any]]) -> dict:
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise ConfigError(f"{path}: repeated key {key!r}")
+                raise ValueError(f"repeated key {key!r}")
             obj[key] = value
         return obj
 
+    return json.loads(text, object_pairs_hook=unique)
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in file `path`; any failure is a ValueError `<path>: <reason>`."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    return raw
+        doc = parse_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config."""
-    return config_from_dict(read_config(path))
+    return config_from_dict(read_json(path))
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -694,10 +698,6 @@ def metrics_document(report: Report) -> dict[str, Any]:
     }
 
 
-def load_metrics_document(path: str | Path) -> dict[str, Any]:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
     """The metrics document of a complete report directory.
 
@@ -708,13 +708,9 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
     """
     directory = Path(report_dir)
     path = directory / "metrics.json"
-    try:
-        doc = load_metrics_document(path)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    doc = read_json(path)
     if not (
-        isinstance(doc, dict)
-        and isinstance(doc.get("test_window"), dict)
+        isinstance(doc.get("test_window"), dict)
         and isinstance(doc.get("strategies"), dict)
     ):
         raise ValueError(f"{path}: not a report, needs test_window and strategies objects")
@@ -728,7 +724,7 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
         for key, _ in _COMPARED.values():
             try:
                 decode_metric(test[key])
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}: strategy {name!r} test {key}: {exc}") from None
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
@@ -749,14 +745,9 @@ def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
 
 
 def _check_config_echo(cfg: ExperimentConfig, path: Path) -> None:
-    try:
-        echo = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
+    if not path.exists():
         return
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(echo, dict):
-        raise ValueError(f"{path}: not a config echo, expected a JSON object")
+    echo = read_json(path)
     current = config_to_dict(cfg)
     for key in (*TRAINING_KEYS, _ARTIFACTS[cfg.agent][3]):
         if echo.get(key) != current[key]:

@@ -130,10 +130,15 @@ def encode_metric(value: float | None) -> float | str:
 
 
 def decode_metric(raw: float | str) -> float | None:
+    """The value encode_metric wrote: a marker or a finite number, never a bool."""
     if raw == UNDEFINED_MARKER:
         return None
     if raw == INF_MARKER:
         return math.inf
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(raw):
+        raise ValueError(
+            f"expected a finite number, {UNDEFINED_MARKER!r} or {INF_MARKER!r}; got {raw!r}"
+        )
     return float(raw)
 
 

@@ -1,6 +1,10 @@
-"""Every CLI failure is one stage-tagged line on stderr and exit status 1."""
+"""Every CLI failure past argument parsing is one stage-tagged line on stderr and exit status 1.
+
+A command line argparse cannot parse is its usage and an error line, exit status 2.
+"""
 
 import json
+import math
 import re
 import shutil
 import warnings
@@ -79,6 +83,13 @@ def edit_test_metrics(change):
     return edit
 
 
+def repeat_test_window(directory):
+    """Put a 1999 test window ahead of the real one in directory's metrics.json."""
+    path = directory / "metrics.json"
+    path.write_text('{"test_window": {"start": "1999-01-04", "end": "1999-12-31"}, '
+                    + path.read_text()[1:])
+
+
 def missing_file(name):
     """A case comparing a copy of the good report without file `name`."""
     return (
@@ -103,11 +114,12 @@ def trained(tmp, agent="dqn"):
 
 
 def evaluate_trained(*overrides, echo=None, agent="dqn"):
-    """An evaluate argv for `trained` under `overrides`, its echo replaced by `echo` if given."""
+    """An evaluate argv for `trained` under `overrides`, its echo's text edited by `echo` if given."""
     def argv(tmp, r):
         cfg, checkpoint = trained(tmp, agent)
         if echo is not None:
-            write(checkpoint.parent / "config_echo.json", echo)
+            path = checkpoint.parent / "config_echo.json"
+            write(path, echo(path.read_text(encoding="utf-8")))
         return ["evaluate", "--config", cfg, "--checkpoint", checkpoint, *overrides]
     return argv
 
@@ -127,9 +139,11 @@ TREND_DATES = dict(train_start="2020-01-06", train_end="2020-04-10",
 # id -> (argv from (tmp_path, reports), stage, pattern the message must contain)
 CASES = {
     "config-missing": (
-        lambda tmp, r: ["run", "--config", tmp / "nope.json"], "config", "cannot read config"),
+        lambda tmp, r: ["run", "--config", tmp / "nope.json"],
+        "config", r"nope\.json: \[Errno 2\]"),
     "config-invalid-json": (
-        lambda tmp, r: ["run", "--config", write(tmp / "c.json", "{")], "config", "invalid JSON"),
+        lambda tmp, r: ["run", "--config", write(tmp / "c.json", "{")],
+        "config", r"c\.json: Expecting"),
     "config-unknown-key": (
         lambda tmp, r: ["run", "--config", config_file(tmp, bogus=1)],
         "config", "unknown config keys: bogus"),
@@ -156,6 +170,11 @@ CASES = {
         lambda tmp, r: ["run", "--config", write(
             tmp / "c.json", json.dumps(config()).replace('"kind"', '"length": 50, "kind"'))],
         "config", r"c\.json: repeated key 'length'"),
+    # a --key=JSON value is read as strictly as a config file: this ran a sinusoid
+    "config-override-repeated-key": (
+        lambda tmp, r: ["run", "--config", config_file(tmp), '--data={"synthetic": '
+                        f'{{"kind": "gbm", "kind": "sinusoid", "length": {LENGTH}}}}}'],
+        "config", "--data: repeated key 'kind'"),
     # numpy refused these seeds with a message naming no key, or not at all
     "config-negative-seed": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--seed", "-1"],
@@ -301,15 +320,26 @@ CASES = {
         evaluate_trained("--data.synthetic.seed=3"),
         "evaluate", r'artifact trained under data=\{"synthetic": \{.*"seed": 0'),
     "evaluate-malformed-echo": (
-        evaluate_trained(echo="{"), "evaluate", r"trained/config_echo\.json: Expecting"),
+        evaluate_trained(echo=lambda text: "{"), "evaluate", r"trained/config_echo\.json: Expecting"),
+    # checked against the last sma_period, the echo passed
+    "evaluate-echo-repeated-key": (
+        evaluate_trained("--sma_period=30", echo=lambda text: text.replace(
+            '"sma_period": 14', '"sma_period": 14, "sma_period": 30')),
+        "evaluate", r"trained/config_echo\.json: repeated key 'sma_period'"),
     "evaluate-echo-not-an-object": (
-        evaluate_trained(echo="[]"), "evaluate", "not a config echo, expected a JSON object"),
+        evaluate_trained(echo=lambda text: "[]"),
+        "evaluate", r"config_echo\.json: expected a JSON object"),
     "compare-missing-metrics": (
         lambda tmp, r: ["compare", tmp], "report", r"metrics\.json: \[Errno 2\]"),
     "compare-invalid-json": (
         lambda tmp, r: ["compare", metrics_file(tmp, "{")], "report", r"metrics\.json: Expecting"),
     "compare-list": (
-        lambda tmp, r: ["compare", metrics_file(tmp, "[]")], "report", "not a report"),
+        lambda tmp, r: ["compare", metrics_file(tmp, "[]")],
+        "report", r"metrics\.json: expected a JSON object"),
+    # compared under its last test_window; the first is a 1999 window
+    "compare-repeated-key": (
+        lambda tmp, r: ["compare", r / "good", broken_report(tmp, r, repeat_test_window)],
+        "report", r"broken/metrics\.json: repeated key 'test_window'"),
     "compare-empty-object": (
         lambda tmp, r: ["compare", metrics_file(tmp, "{}")], "report", "not a report"),
     "compare-empty-test-window": (
@@ -326,7 +356,18 @@ CASES = {
     "compare-non-numeric-metric": (
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows["test"].update(roi=[1])))],
-        "report", r"broken/metrics\.json: strategy 'buy_and_hold' test roi: float\(\) argument must be"),
+        "report", r"broken/metrics\.json: strategy 'buy_and_hold' test roi: expected a finite number,"
+                  r" 'undefined' or 'inf'; got \[1\]"),
+    # json reads NaN: the winner pick raised StopIteration, a traceback
+    "compare-nan-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].update(sharpe=math.nan)))],
+        "report", "strategy 'buy_and_hold' test sharpe: .* got nan"),
+    # true compared as 1
+    "compare-bool-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].update(roi=True)))],
+        "report", "strategy 'buy_and_hold' test roi: .* got True"),
     "compare-missing-config-echo": missing_file("config_echo.json"),
     "compare-missing-history": missing_file("history.csv"),
     "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),
@@ -346,6 +387,20 @@ def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
     assert caught == []
     # a row that names tmp/out as its report directory must leave it unwritten
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--config", "c.json", "--seed", "abc"],
+    ["backtest", "--config", "c.json"],
+])
+def test_usage_error_exits_2_untagged(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exited.value.code == 2
+    assert err.startswith("usage: quantrl") and "Traceback" not in err
+    assert re.fullmatch(r"quantrl[ a-z]*: error: [^\n]+", err.splitlines()[-1])
 
 
 def evaluates_trained(tmp_path, capsys, agent, *overrides):

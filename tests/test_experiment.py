@@ -24,14 +24,16 @@ from quantrl.experiment import (
     emit_report,
     greedy_policy,
     load_bars,
-    load_metrics_document,
     make_env,
     parse_config,
+    parse_json,
     prepare_data,
     prepare_train,
+    read_json,
     run_experiment,
     run_policy,
     split_train_test,
+    stage,
     train_agent,
 )
 from quantrl.market_data import SyntheticSpec, generate_synthetic, write_csv
@@ -166,6 +168,24 @@ def fuzzed_raw_configs(draw):
     for key in draw(st.sets(st.sampled_from(CONFIG_KEYS))):
         raw[key] = draw(json_values)
     return raw
+
+
+class TestParseJson:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_reads_what_json_writes(self, value):
+        # dumps are compared because NaN != NaN
+        assert json.dumps(parse_json(json.dumps(value))) == json.dumps(value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8), json_values, json_values,
+           st.lists(st.sampled_from(["[%s]", '{"outer": %s, "sibling": 1}']), max_size=4))
+    def test_repeated_key_is_refused_at_any_depth(self, key, first, second, wrappers):
+        text = f"{{{json.dumps(key)}: {json.dumps(first)}, {json.dumps(key)}: {json.dumps(second)}}}"
+        for wrapper in wrappers:
+            text = wrapper % text
+        with pytest.raises(ValueError, match=re.escape(f"repeated key {key!r}")):
+            parse_json(text)
 
 
 class TestConfig:
@@ -592,6 +612,13 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match=r"\[ingest\]"):
             run_experiment(cfg)
 
+    def test_stage_tags_stop_iteration(self):
+        # contextlib re-raised the StopIteration a RuntimeError was raised from
+        with pytest.raises(ExperimentError, match=r"^\[report\] ") as caught:
+            with stage("report"):
+                next(iter(()))
+        assert isinstance(caught.value.__cause__, StopIteration)
+
     def test_no_test_leakage(self, tmp_path):
         dates = synthetic_dates(kind="gbm", length=120, seed=3, volatility=0.25, drift=0.05)
         bars = generate_synthetic("gbm", length=120, seed=3, volatility=0.25, drift=0.05)
@@ -773,7 +800,7 @@ class TestEmitReport:
 
     def test_metrics_json_round_trip_exact(self, tmp_path):
         report, out, _ = self.run_small(tmp_path)
-        doc = load_metrics_document(out / "metrics.json")
+        doc = read_json(out / "metrics.json")
         for name, result in report.strategies.items():
             for window, metrics in (("train", result.train_metrics), ("test", result.test_metrics)):
                 stored = doc["strategies"][name][window]
@@ -787,7 +814,7 @@ class TestEmitReport:
         report = run_experiment(cfg)
         out = tmp_path / "r"
         emit_report(report, out)
-        doc = load_metrics_document(out / "metrics.json")
+        doc = read_json(out / "metrics.json")
         test_metrics = doc["strategies"]["qtable"]["test"]
         assert test_metrics["profit_factor"] == "undefined"
         assert test_metrics["winning_pct"] == "undefined"
@@ -944,7 +971,7 @@ class TestCli:
         path.write_text(json.dumps(document))
         code, _, err = self.run_cli(capsys, "run", "--config", str(path), *flags)
         assert code == 1
-        assert err == "error: [config] config must be a JSON object\n"
+        assert err == f"error: [config] {path}: expected a JSON object\n"
 
     def test_malformed_override_is_tagged(self, tmp_path, capsys):
         config = self.write_config(tmp_path)

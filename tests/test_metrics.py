@@ -563,3 +563,9 @@ class TestReportSerialization:
         assert decode_metric("undefined") is None
         assert decode_metric("inf") == math.inf
         assert decode_metric(0.5) == 0.5
+
+    # json reads all of these; encode_metric writes none of them
+    @pytest.mark.parametrize("raw", [True, False, "1e5", "nan", "-inf", math.nan, -math.inf, None, [1]])
+    def test_decode_refuses_what_encode_never_writes(self, raw):
+        with pytest.raises(ValueError, match="expected a finite number, 'undefined' or 'inf'"):
+            decode_metric(raw)
