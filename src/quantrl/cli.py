@@ -24,7 +24,7 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     LEARNING_AGENTS,
-    compare_metrics_documents,
+    compare_test_metrics,
     config_from_dict,
     emit_report,
     emit_training,
@@ -169,8 +169,8 @@ def _report_label(report_dir: str) -> str:
 def cmd_compare(args: argparse.Namespace, extras: Sequence[str]) -> int:
     _reject_extras(extras)
     with stage("report"):
-        table = compare_metrics_documents(
-            [(_report_label(d), load_report_metrics(d)) for d in args.report_dirs]
+        table = compare_test_metrics(
+            [(_report_label(d), *load_report_metrics(d)) for d in args.report_dirs]
         )
         print(table.to_text(), end="")
         if args.out:

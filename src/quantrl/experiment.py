@@ -41,9 +41,9 @@ from .metrics import (
     EquityCurve,
     Fill,
     MetricsReport,
+    REPORT_FIELDS,
     RoundTripTrade,
     compute_report,
-    decode_metric,
     encode_metric,
     match_trades,
 )
@@ -111,14 +111,15 @@ class ExperimentError(Exception):
 def stage(name: str) -> Iterator[None]:
     """Re-raise any failure in the block as ExperimentError(name, message).
 
-    An ExperimentError passes through unchanged, keeping its own stage.
+    The message is the exception's text, or its class name if it has none. An
+    ExperimentError passes through unchanged, keeping its own stage.
     """
     try:
         yield
     except ExperimentError:
         raise
     except Exception as exc:
-        raise ExperimentError(name, str(exc)) from exc
+        raise ExperimentError(name, str(exc) or type(exc).__name__) from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -698,8 +699,10 @@ def metrics_document(report: Report) -> dict[str, Any]:
     }
 
 
-def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
-    """The metrics document of a complete report directory.
+def load_report_metrics(
+    report_dir: str | Path,
+) -> tuple[tuple[str, str], dict[str, MetricsReport]]:
+    """The test window and per-strategy test metrics of a complete report directory.
 
     A read error is prefixed with the metrics.json path. The document must
     hold a test window with string dates and decodable test metrics per
@@ -709,28 +712,26 @@ def load_report_metrics(report_dir: str | Path) -> dict[str, Any]:
     directory = Path(report_dir)
     path = directory / "metrics.json"
     doc = read_json(path)
-    if not (
-        isinstance(doc.get("test_window"), dict)
-        and isinstance(doc.get("strategies"), dict)
-    ):
+    if not all(isinstance(doc.get(key), dict) for key in ("test_window", "strategies")):
         raise ValueError(f"{path}: not a report, needs test_window and strategies objects")
-    if not all(isinstance(doc["test_window"].get(key), str) for key in ("start", "end")):
+    span = tuple(doc["test_window"].get(key) for key in ("start", "end"))
+    if not all(isinstance(d, str) for d in span):
         raise ValueError(f"{path}: test_window needs string start and end dates")
     names = ["config_echo.json", "history.csv"]
+    tests = {}
     for name, windows in doc["strategies"].items():
         test = windows.get("test") if isinstance(windows, dict) else None
-        if not isinstance(test, dict) or any(key not in test for key, _ in _COMPARED.values()):
+        if not isinstance(test, dict) or any(key not in test for key in REPORT_FIELDS):
             raise ValueError(f"{path}: strategy {name!r} lacks complete test metrics")
-        for key, _ in _COMPARED.values():
-            try:
-                decode_metric(test[key])
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}: strategy {name!r} test {key}: {exc}") from None
+        try:
+            tests[name] = MetricsReport.from_dict(test)
+        except ValueError as exc:
+            raise ValueError(f"{path}: strategy {name!r} test {exc}") from None
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
         if not (directory / name).is_file():
             raise ValueError(f"{directory}: incomplete report, missing {name}")
-    return doc
+    return span, tests
 
 
 def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
@@ -804,44 +805,26 @@ class ComparisonTable:
     rows: list[dict[str, Any]]
     winners: dict[str, str]
 
+    def _cells(self, exact: bool) -> list[list[str]]:
+        """The header, then each row's cell texts; inexact texts mark a winner with `*`."""
+        return [list(COMPARE_COLUMNS)] + [
+            [row["strategy"]] + [
+                _cell_text(row[col], exact)
+                + ("*" if not exact and self.winners.get(col) == row["strategy"] else "")
+                for col in COMPARE_COLUMNS[1:]
+            ]
+            for row in self.rows
+        ]
+
     def to_csv_text(self) -> str:
-        lines = [",".join(COMPARE_COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    str(row["strategy"]) if col == "strategy" else _cell_text(row[col], exact=True)
-                    for col in COMPARE_COLUMNS
-                )
-            )
-        lines.append(
-            ",".join(
-                "winner" if col == "strategy" else self.winners.get(col, "")
-                for col in COMPARE_COLUMNS
-            )
-        )
-        return "\n".join(lines) + "\n"
+        winners = ["winner", *(self.winners.get(col, "") for col in COMPARE_COLUMNS[1:])]
+        return "".join(",".join(cells) + "\n" for cells in [*self._cells(exact=True), winners])
 
     def to_text(self) -> str:
-        header = list(COMPARE_COLUMNS)
-        body = []
-        for row in self.rows:
-            cells = [str(row["strategy"])]
-            for col in COMPARE_COLUMNS[1:]:
-                text = _cell_text(row[col], exact=False)
-                if self.winners.get(col) == row["strategy"]:
-                    text += "*"
-                cells.append(text)
-            body.append(cells)
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
-        lines = [
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "  ".join("-" * w for w in widths),
-        ]
-        lines.extend("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in body)
-        return "\n".join(lines) + "\n"
+        header, *body = self._cells(exact=False)
+        widths = [max(len(cells[i]) for cells in (header, *body)) for i in range(len(header))]
+        lines = [header, ["-" * w for w in widths], *body]
+        return "".join("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + "\n" for cells in lines)
 
 
 def _cell_text(value: float | None, exact: bool) -> str:
@@ -851,18 +834,20 @@ def _cell_text(value: float | None, exact: bool) -> str:
     return repr(encoded) if exact else format(encoded, ".6g")
 
 
-def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTable:
-    """One row per strategy of each (prefix, metrics document), named prefix + strategy.
+def compare_test_metrics(
+    runs: Sequence[tuple[str, tuple[str, str], dict[str, MetricsReport]]],
+) -> ComparisonTable:
+    """One row per strategy of each (prefix, test window, test metrics), named prefix + strategy.
 
-    Every row must share the first row's test window; a repeated name gets
-    a `#2`, `#3`, ... suffix.
+    A run's rows are in strategy-name order, as metrics.json holds them. Every
+    row must share the first row's test window; a repeated name gets a `#2`,
+    `#3`, ... suffix.
     """
     rows: list[dict[str, Any]] = []
     seen: dict[str, int] = {}
     reference = None
-    for prefix, doc in docs:
-        span = (doc["test_window"]["start"], doc["test_window"]["end"])
-        for name, windows in doc["strategies"].items():
+    for prefix, span, strategies in runs:
+        for name, metrics in sorted(strategies.items()):
             label = prefix + name
             reference = reference or span
             if span != reference:
@@ -872,10 +857,9 @@ def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTab
             seen[label] = seen.get(label, 0) + 1
             if seen[label] > 1:
                 label = f"{label}#{seen[label]}"
-            test = windows["test"]
             rows.append(
                 {"strategy": label}
-                | {col: decode_metric(test[key]) for col, (key, _) in _COMPARED.items()}
+                | {col: getattr(metrics, field) for col, (field, _) in _COMPARED.items()}
             )
     if not rows:
         raise ValueError("nothing to compare")
@@ -892,4 +876,8 @@ def compare_metrics_documents(docs: Sequence[tuple[str, dict]]) -> ComparisonTab
 
 def compare_strategies(reports: Sequence[Report]) -> ComparisonTable:
     """One row per strategy across reports; all must share the test window."""
-    return compare_metrics_documents([("", metrics_document(r)) for r in reports])
+    return compare_test_metrics([
+        ("", tuple(d.isoformat() for d in r.test_window_span),
+         {name: result.test_metrics for name, result in r.strategies.items()})
+        for r in reports
+    ])

@@ -115,17 +115,27 @@ class MetricsReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "MetricsReport":
-        return cls(**{name: decode_metric(raw[name]) for name in REPORT_FIELDS})
+        """The report to_dict wrote; a value that does not decode is a ValueError `<key>: …`."""
+        values = {}
+        for name in REPORT_FIELDS:
+            try:
+                values[name] = decode_metric(raw[name])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        return cls(**values)
 
 
 REPORT_FIELDS = tuple(f.name for f in fields(MetricsReport))
 
 
 def encode_metric(value: float | None) -> float | str:
+    """None as "undefined", +inf as "inf", a finite value as a float; NaN and -inf have no form."""
     if value is None:
         return UNDEFINED_MARKER
-    if math.isinf(value):
+    if value == math.inf:
         return INF_MARKER
+    if not math.isfinite(value):
+        raise ValueError(f"cannot encode metric {value!r}: only None, inf or a finite number")
     return float(value)
 
 

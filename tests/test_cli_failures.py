@@ -7,10 +7,14 @@ import json
 import math
 import re
 import shutil
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from quantrl.cli import main
 from quantrl.market_data import generate_synthetic
@@ -368,6 +372,20 @@ CASES = {
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows["test"].update(roi=True)))],
         "report", "strategy 'buy_and_hold' test roi: .* got True"),
+    # json reads a 401-digit int, which no float holds
+    "compare-huge-int-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].update(roi=10**400)))],
+        "report", "strategy 'buy_and_hold' test roi: int too large to convert to float"),
+    # agent_adtv is in no column; it was not decoded, and compared with exit 0
+    "compare-non-numeric-uncompared-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].update(agent_adtv="x")))],
+        "report", "strategy 'buy_and_hold' test agent_adtv: .* got 'x'"),
+    "compare-missing-uncompared-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["test"].pop("agent_adtv")))],
+        "report", "strategy 'buy_and_hold' lacks complete test metrics"),
     "compare-missing-config-echo": missing_file("config_echo.json"),
     "compare-missing-history": missing_file("history.csv"),
     "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),
@@ -434,6 +452,41 @@ def test_valid_reports_compare(tmp_path, capsys, reports):
                                          "--out", tmp_path / "cmp.csv"])
     assert code == 0 and err == ""
     assert "good:buy_and_hold#2" in out and (tmp_path / "cmp.csv").is_file()
+
+
+@st.composite
+def damaged(draw, data: bytes) -> tuple[str, bytes]:
+    """(how, `data` truncated at a byte, with one byte substituted, or with a line deleted or repeated)."""
+    how = draw(st.sampled_from(["truncated", "substituted", "deleted", "repeated"]))
+    if how == "truncated":
+        return how, data[:draw(st.integers(0, len(data) - 1))]
+    if how == "substituted":
+        i = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255).filter(lambda b: b != data[i]))
+        return how, data[:i] + bytes([byte]) + data[i + 1:]
+    lines = data.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    kept = lines[:i] + lines[i + 1:] if how == "deleted" else lines[:i + 1] + lines[i:]
+    return how, b"".join(kept)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_damaged_metrics_json_compares_or_is_one_tagged_line(reports, data):
+    good = reports / "good"
+    how, text = data.draw(damaged((good / "metrics.json").read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = shutil.copytree(good, Path(tmp) / "broken")
+        (broken / "metrics.json").write_bytes(text)
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["compare", str(good), str(broken)])
+    event(f"{how}, exit {code}")
+    assert code in (0, 1)
+    if code == 1:
+        assert re.fullmatch(r"error: \[report\] \S[^\n]*\n", err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 def row_labels(out):

@@ -19,11 +19,13 @@ from quantrl.experiment import (
     ExperimentError,
     build_window,
     compare_strategies,
+    compare_test_metrics,
     config_from_dict,
     config_to_dict,
     emit_report,
     greedy_policy,
     load_bars,
+    load_report_metrics,
     make_env,
     parse_config,
     parse_json,
@@ -613,8 +615,9 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_stage_tags_stop_iteration(self):
-        # contextlib re-raised the StopIteration a RuntimeError was raised from
-        with pytest.raises(ExperimentError, match=r"^\[report\] ") as caught:
+        # contextlib re-raised the StopIteration a RuntimeError was raised from;
+        # without arguments its text is empty, so the tag names its class
+        with pytest.raises(ExperimentError, match=r"^\[report\] StopIteration$") as caught:
             with stage("report"):
                 next(iter(()))
         assert isinstance(caught.value.__cause__, StopIteration)
@@ -861,6 +864,22 @@ class TestCompare:
         table = compare_strategies([run_experiment(cfg)])
         last = table.to_csv_text().splitlines()[-1]
         assert last.startswith("winner,")
+
+    # a hold-forever agent's trade metrics are undefined; buy-and-hold on a
+    # rising test window wins every trade, an "inf" profit factor
+    @pytest.mark.parametrize("marker, cfg", [
+        ("undefined", dict(agent="qtable", episodes=1, alpha=0.1, eps_start=0.0, eps_end=0.0)),
+        ("inf", dict(agent="buy_and_hold", length=125)),
+    ])
+    def test_emitted_report_compares_as_the_one_in_memory(self, tmp_path, marker, cfg):
+        report = run_experiment(sinusoid_config(**cfg))
+        emit_report(report, tmp_path)
+        assert marker in report.strategies[report.config.agent].test_metrics.to_dict().values()
+        in_memory = compare_strategies([report])
+        read_back = compare_test_metrics([("", *load_report_metrics(tmp_path))])
+        assert read_back.rows == in_memory.rows
+        assert read_back.winners == in_memory.winners
+        assert read_back.to_csv_text() == in_memory.to_csv_text()
 
 
 class TestCli:

@@ -1,11 +1,13 @@
+import json
 import math
+import re
 from collections import deque
 from dataclasses import astuple
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantrl.metrics import (
     EquityCurve,
@@ -563,6 +565,26 @@ class TestReportSerialization:
         assert decode_metric("undefined") is None
         assert decode_metric("inf") == math.inf
         assert decode_metric(0.5) == 0.5
+
+    # -inf was written as "inf", read back as +inf; NaN as json's NaN, which decode refuses
+    @example(-math.inf)
+    @example(math.nan)
+    @example(-0.0)
+    @settings(max_examples=300, deadline=None)
+    @given(st.none() | st.floats())
+    def test_codec_round_trips_through_json_what_it_encodes(self, value):
+        if value is not None and (math.isnan(value) or value == -math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"cannot encode metric {value!r}")):
+                encode_metric(value)
+            return
+        decoded = decode_metric(json.loads(json.dumps(encode_metric(value))))
+        # repr tells -0.0 from 0.0
+        assert repr(decoded) == repr(value)
+
+    def test_from_dict_names_the_refused_key(self):
+        encoded = MetricsReport(*range(10)).to_dict() | {"agent_adtv": "x"}
+        with pytest.raises(ValueError, match=r"^agent_adtv: expected a finite number, .* got 'x'$"):
+            MetricsReport.from_dict(encoded)
 
     # json reads all of these; encode_metric writes none of them
     @pytest.mark.parametrize("raw", [True, False, "1e5", "nan", "-inf", math.nan, -math.inf, None, [1]])
