@@ -632,16 +632,13 @@ def simulate(
     values: list[float] = []
     fills: list[Fill] = []
     for t, price in enumerate(prices.tolist()):
-        cash, shares = _trade(
-            portfolio.cash, portfolio.shares, decide(t, portfolio), price,
-            rate, buy_fraction, sell_fraction,
-        )
-        delta = shares - portfolio.shares
-        if delta:
+        traded = _trade(portfolio, decide(t, portfolio), price, rate, buy_fraction, sell_fraction)
+        if traded is not portfolio:
+            delta = traded.shares - portfolio.shares
             side = "buy" if delta > 0 else "sell"
             fills.append(Fill(dates[t], side, abs(delta), price, cost=abs(delta) * price * rate))
-            portfolio = Portfolio(cash, shares)
-        values.append(cash + shares * price)
+            portfolio = traded
+        values.append(portfolio.cash + portfolio.shares * price)
     return EquityCurve(dates, values), fills
 
 

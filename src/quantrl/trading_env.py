@@ -81,16 +81,18 @@ def roi(initial_wealth: float, final_wealth: float) -> float:
 
 
 def _trade(
-    cash: float, shares: int, action: Action | int, price: float,
+    portfolio: Portfolio, action: Action | int, price: float,
     rate: float, buy_fraction: float, sell_fraction: float,
-) -> tuple[float, int]:
-    """(cash, shares) after `action` at `price`; the inputs if nothing trades.
+) -> Portfolio:
+    """The position after `action` at `price`: `portfolio` itself if nothing trades.
 
-    The one place the buy and sell arithmetic lives. It checks the action and
-    the share bound only: callers check price and fractions, once or per call.
+    The one place the buy and sell arithmetic lives and a post-trade Portfolio
+    is built. It checks the action and the share bound only: callers check
+    price and fractions, once or per call.
     """
     # Compared as ints: converting through Action(...) costs more than a trade.
     if action == _BUY:
+        cash, shares = portfolio.cash, portfolio.shares
         unit_cost = price * (1.0 + rate)
         wanted = (buy_fraction * cash) / unit_cost
         if not wanted <= MAX_SHARES - shares:  # exact, and false for inf and NaN
@@ -103,14 +105,15 @@ def _trade(
             bought -= 1
             total = bought * unit_cost
         if bought > 0:
-            return cash - total, shares + bought
+            return Portfolio(cash - total, shares + bought)
     elif action == _SELL:
+        shares = portfolio.shares
         sold = min(shares, math.floor(sell_fraction * shares))
         if sold > 0:
-            return cash + sold * price * (1.0 - rate), shares - sold
+            return Portfolio(portfolio.cash + sold * price * (1.0 - rate), shares - sold)
     elif action != _HOLD:
         raise ValueError(f"{action!r} is not a valid Action")
-    return cash, shares
+    return portfolio
 
 
 def execute_buy(
@@ -145,19 +148,12 @@ def execute_action(
     sell_fraction: float = 1.0,
 ) -> Portfolio:
     """Execute one action at `price`; Hold leaves the portfolio unchanged."""
-    if action == _HOLD:
-        return portfolio
-    if action != _BUY and action != _SELL:
-        raise ValueError(f"{action!r} is not a valid Action")
-    if price <= 0 or not math.isfinite(price):
-        raise ValueError("price must be positive")
-    if not 0.0 < (buy_fraction if action == _BUY else sell_fraction) <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    cash, shares = _trade(
-        portfolio.cash, portfolio.shares, action, price,
-        costs.proportional_rate, buy_fraction, sell_fraction,
-    )
-    return portfolio if shares == portfolio.shares else Portfolio(cash, shares)
+    if action == _BUY or action == _SELL:
+        if price <= 0 or not math.isfinite(price):
+            raise ValueError("price must be positive")
+        if not 0.0 < (buy_fraction if action == _BUY else sell_fraction) <= 1.0:
+            raise ValueError("fraction must be in (0, 1]")
+    return _trade(portfolio, action, price, costs.proportional_rate, buy_fraction, sell_fraction)
 
 
 @dataclass(frozen=True)
@@ -248,14 +244,9 @@ class TradingEnv:
         if done:
             raise ValueError("cannot step a finished episode")
         prices = self._prices
-        cash, shares = _trade(
-            portfolio.cash, portfolio.shares, action, prices[t],
-            self._rate, self.buy_fraction, self.sell_fraction,
-        )
-        if shares != portfolio.shares:
-            portfolio = Portfolio(cash, shares)
+        portfolio = _trade(portfolio, action, prices[t], self._rate, self.buy_fraction, self.sell_fraction)
         t += 1
-        marked = cash + shares * prices[t]
+        marked = portfolio.cash + portfolio.shares * prices[t]
         if self._percentage:
             reward = (marked - wealth_prev) / wealth_prev
         else:
