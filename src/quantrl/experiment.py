@@ -313,11 +313,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     elif not (isinstance(source, str) and source):
         raise ConfigError(f"data.csv: expected a file path, got {source!r}")
     values: dict[str, Any] = {"data": source, **_field_values(_KEY_FIELDS, raw)}
-    if not isinstance(values.get("out_dir"), (str, type(None))):
-        raise ConfigError(f"out_dir: expected a string, got {values['out_dir']!r}")
-    # Cross-field defaults: a missing or null key takes the derived value.
+    for key in ("symbol", "out_dir"):
+        if not isinstance(values.get(key), (str, type(None))):
+            raise ConfigError(f"{key}: expected a string, got {values[key]!r}")
+    # Cross-field defaults: a missing, null or empty key takes the derived value.
     csv_stem = Path(source).stem if isinstance(source, str) else "SYNTH"
-    values["symbol"] = str(values.get("symbol") or csv_stem)
+    values["symbol"] = values.get("symbol") or csv_stem
     if values.get("window") is None:
         values["window"] = 3 if agent == "qtable" else 10
     if values.get("annualization") is None:
@@ -708,30 +709,46 @@ def load_report_metrics(
     hold a test window with string dates and decodable test metrics per
     strategy, and every file it implies must be present: emit_report writes
     metrics.json last, so a directory missing one was changed afterwards.
+    Then it must hold a string symbol, a train window with string dates and
+    decodable train metrics per strategy.
     """
     directory = Path(report_dir)
     path = directory / "metrics.json"
     doc = read_json(path)
     if not all(isinstance(doc.get(key), dict) for key in ("test_window", "strategies")):
         raise ValueError(f"{path}: not a report, needs test_window and strategies objects")
-    span = tuple(doc["test_window"].get(key) for key in ("start", "end"))
-    if not all(isinstance(d, str) for d in span):
-        raise ValueError(f"{path}: test_window needs string start and end dates")
+
+    def span(key: str) -> tuple[str, str]:
+        window = doc.get(key)
+        dates = (window.get("start"), window.get("end")) if isinstance(window, dict) else (None,)
+        if not all(isinstance(d, str) for d in dates):
+            raise ValueError(f"{path}: {key} needs string start and end dates")
+        return dates
+
+    def metrics(name: str, windows: Any, window: str) -> MetricsReport:
+        values = windows.get(window) if isinstance(windows, dict) else None
+        if not isinstance(values, dict) or any(key not in values for key in REPORT_FIELDS):
+            raise ValueError(f"{path}: strategy {name!r} lacks complete {window} metrics")
+        try:
+            return MetricsReport.from_dict(values)
+        except ValueError as exc:
+            raise ValueError(f"{path}: strategy {name!r} {window} {exc}") from None
+
+    test_span = span("test_window")
     names = ["config_echo.json", "history.csv"]
     tests = {}
     for name, windows in doc["strategies"].items():
-        test = windows.get("test") if isinstance(windows, dict) else None
-        if not isinstance(test, dict) or any(key not in test for key in REPORT_FIELDS):
-            raise ValueError(f"{path}: strategy {name!r} lacks complete test metrics")
-        try:
-            tests[name] = MetricsReport.from_dict(test)
-        except ValueError as exc:
-            raise ValueError(f"{path}: strategy {name!r} test {exc}") from None
+        tests[name] = metrics(name, windows, "test")
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
         if not (directory / name).is_file():
             raise ValueError(f"{directory}: incomplete report, missing {name}")
-    return span, tests
+    if not isinstance(doc.get("symbol"), str):
+        raise ValueError(f"{path}: symbol must be a string, got {doc.get('symbol')!r}")
+    span("train_window")
+    for name, windows in doc["strategies"].items():
+        metrics(name, windows, "train")
+    return test_span, tests
 
 
 def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:

@@ -77,14 +77,19 @@ def broken_report(tmp, reports, edit):
     return directory
 
 
-def edit_test_metrics(change):
-    """An edit applying `change` to the buy-and-hold entry of metrics.json."""
+def edit_metrics(change):
+    """An edit applying `change` to the document in metrics.json."""
     def edit(directory):
         path = directory / "metrics.json"
         doc = json.loads(path.read_text())
-        change(doc["strategies"]["buy_and_hold"])
+        change(doc)
         path.write_text(json.dumps(doc))
     return edit
+
+
+def edit_test_metrics(change):
+    """An edit applying `change` to the buy-and-hold entry of metrics.json."""
+    return edit_metrics(lambda doc: change(doc["strategies"]["buy_and_hold"]))
 
 
 def repeat_test_window(directory):
@@ -179,6 +184,10 @@ CASES = {
         lambda tmp, r: ["run", "--config", config_file(tmp), '--data={"synthetic": '
                         f'{{"kind": "gbm", "kind": "sinusoid", "length": {LENGTH}}}}}'],
         "config", "--data: repeated key 'kind'"),
+    # str() made this the symbol, in metrics.json and the default output directory
+    "config-symbol-not-a-string": (
+        lambda tmp, r: ["run", "--config", config_file(tmp, symbol={"a": 1})],
+        "config", r"symbol: expected a string, got \{'a': 1\}"),
     # numpy refused these seeds with a message naming no key, or not at all
     "config-negative-seed": (
         lambda tmp, r: ["run", "--config", config_file(tmp), "--seed", "-1"],
@@ -282,6 +291,12 @@ CASES = {
     "evaluate-wrong-width-checkpoint": (
         evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n2 3\n" + "0.5\n" * 9),
         "evaluate", "input width 10 does not match first layer size 2"),
+    "evaluate-non-numeric-layer-size": (
+        evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n10 x 3\n" + "0.5\n" * 3),
+        "evaluate", r"ck\.txt: malformed checkpoint: invalid literal for int\(\) with base 10: 'x'"),
+    "evaluate-one-layer-size": (
+        evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n10\n" + "0.5\n" * 3),
+        "evaluate", r"ck\.txt: checkpoint needs at least two layer sizes"),
     "evaluate-zero-width-layer": (
         evaluate_artifact("dqn", "ck.txt", "quantrl-mlp-v1\n10 0 3\n" + "0.5\n" * 3),
         "evaluate", "ck.txt: all layer sizes must be >= 1"),
@@ -303,6 +318,9 @@ CASES = {
     "evaluate-qtable-repeated-state": (
         evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE + "1-1-1,0.0,0.0,5.0\n"),
         "evaluate", r"q\.csv: repeated state 1-1-1 in row '1-1-1,0\.0,0\.0,5\.0'"),
+    "evaluate-qtable-two-values": (
+        evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE.replace(",0.0\n", "\n")),
+        "evaluate", r"q\.csv: malformed row '1-1-1,0\.0,1\.0'"),
     "evaluate-qtable-malformed-key": (
         evaluate_artifact("qtable", "q.csv", QTABLE_3_WIDE.replace("1-1-1", "1--1")),
         "evaluate", r"q\.csv: malformed state key in row '1--1,0\.0,1\.0,0\.0'"),
@@ -386,6 +404,23 @@ CASES = {
         lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
             lambda windows: windows["test"].pop("agent_adtv")))],
         "report", "strategy 'buy_and_hold' lacks complete test metrics"),
+    # the train half, symbol and train_window were not read: each compared with exit 0
+    "compare-no-train-metrics": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows.pop("train")))],
+        "report", "strategy 'buy_and_hold' lacks complete train metrics"),
+    "compare-non-numeric-train-metric": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_test_metrics(
+            lambda windows: windows["train"].update(roi="x")))],
+        "report", r"broken/metrics\.json: strategy 'buy_and_hold' train roi: expected a finite number,"
+                  r" 'undefined' or 'inf'; got 'x'"),
+    "compare-no-symbol": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_metrics(lambda doc: doc.pop("symbol")))],
+        "report", r"broken/metrics\.json: symbol must be a string, got None"),
+    "compare-no-train-window": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_metrics(
+            lambda doc: doc.pop("train_window")))],
+        "report", r"broken/metrics\.json: train_window needs string start and end dates"),
     "compare-missing-config-echo": missing_file("config_echo.json"),
     "compare-missing-history": missing_file("history.csv"),
     "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),
@@ -419,6 +454,13 @@ def test_usage_error_exits_2_untagged(capsys, argv):
     assert exited.value.code == 2
     assert err.startswith("usage: quantrl") and "Traceback" not in err
     assert re.fullmatch(r"quantrl[ a-z]*: error: [^\n]+", err.splitlines()[-1])
+
+
+def test_bare_command_prints_help_and_exits_2(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: quantrl") and "{ingest,synth,train,evaluate,run,compare}" in out
+    assert err == ""
 
 
 def evaluates_trained(tmp_path, capsys, agent, *overrides):
@@ -485,6 +527,39 @@ def test_damaged_metrics_json_compares_or_is_one_tagged_line(reports, data):
     assert code in (0, 1)
     if code == 1:
         assert re.fullmatch(r"error: \[report\] \S[^\n]*\n", err.getvalue()), err.getvalue()
+    else:
+        assert err.getvalue() == ""
+
+
+@pytest.fixture(scope="module")
+def trained_artifacts(tmp_path_factory):
+    """{agent: (config, artifact)} of `trained`, trained once per learner."""
+    return {agent: trained(tmp_path_factory.mktemp(agent), agent) for agent in ARTIFACT_NAMES}
+
+
+@pytest.mark.parametrize("agent, name", [
+    ("qtable", "qtable.csv"), ("dqn", "checkpoint_dqn.txt"), ("qtable", "config_echo.json"),
+])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_artifact_evaluates_or_is_one_tagged_line(trained_artifacts, agent, name, data):
+    cfg, artifact = trained_artifacts[agent]
+    how, text = data.draw(damaged((artifact.parent / name).read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = shutil.copytree(artifact.parent, Path(tmp) / "trained")
+        (directory / name).write_bytes(text)
+        out, err = StringIO(), StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--config", str(cfg), "--checkpoint", str(directory / artifact.name),
+                         "--out", str(Path(tmp) / "out")])
+        left = (Path(tmp) / "out").exists()
+    event(f"{how}, exit {code}")
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1)
+    if code == 1:
+        assert re.fullmatch(r"error: \[evaluate\] \S[^\n]*\n", err.getvalue()), err.getvalue()
+        assert not left
     else:
         assert err.getvalue() == ""
 

@@ -340,6 +340,12 @@ class TestConfig:
              "data.synthetic.base: expected float, got False"),
             ({"data": {"synthetic": 5}}, "data.synthetic: expected an object"),
             ({"data": {"synthetic": ["kind"]}}, "data.synthetic: expected an object"),
+            # str() made these a symbol; the falsy ones took the CSV stem
+            ({"symbol": {"a": 1}}, "symbol: expected a string, got {'a': 1}"),
+            ({"symbol": 5}, "symbol: expected a string, got 5"),
+            ({"symbol": 0}, "symbol: expected a string, got 0"),
+            ({"symbol": False}, "symbol: expected a string, got False"),
+            ({"symbol": []}, "symbol: expected a string, got []"),
         ]
         for bad, message in cases:
             with pytest.raises(ConfigError) as info:
@@ -435,6 +441,7 @@ class TestConfig:
              "use_indicators": None, "out_dir": None}
         )
         assert (cfg.symbol, cfg.window, cfg.use_indicators, cfg.out_dir) == ("x", 3, False, None)
+        assert config_from_dict({**base, "symbol": ""}).symbol == "x"
         assert cfg.annualization == math.sqrt(252.0)
         for key in ("alpha", "episodes", "hidden_sizes", "train_start", "normalization"):
             with pytest.raises(ConfigError):
@@ -1151,6 +1158,61 @@ class TestCli:
         expected = tmp_path / "root" / "buy_and_hold-SYNTH-seed42"
         assert (expected / "metrics.json").exists()
         assert str(expected) in out
+
+    def test_out_dir_from_config_without_out_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QUANTRL_OUT_ROOT", str(tmp_path / "root"))
+        config = self.write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        config.write_text(json.dumps({**raw, "out_dir": str(tmp_path / "from-config")}))
+        code, out, _ = self.run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        assert (tmp_path / "from-config" / "metrics.json").exists()
+        assert not (tmp_path / "root").exists()
+        assert out.endswith(f"report written to {tmp_path / 'from-config'}\n")
+
+    def test_baseline_evaluate_without_checkpoint_writes_what_run_writes(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        for command in ("run", "evaluate"):
+            code, _, _ = self.run_cli(capsys, command, "--config", str(config),
+                                      "--out", str(tmp_path / command))
+            assert code == 0
+        written = sorted(p.name for p in (tmp_path / "run").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "evaluate").iterdir())
+        for name in written:
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "evaluate" / name).read_bytes()
+
+    def test_blank_lines_in_price_csv_are_skipped(self, tmp_path, capsys):
+        config = self.write_config(tmp_path)
+        raw = json.loads(config.read_text())
+        for name in ("plain", "blank"):
+            (tmp_path / name).mkdir()
+            write_csv(generate_synthetic(**raw["data"]["synthetic"]), tmp_path / name / "p.csv")
+        blank = tmp_path / "blank" / "p.csv"
+        lines = blank.read_text().splitlines(keepends=True)
+        blank.write_text("".join([lines[0], "\n", *lines[1:60], "\n\n", *lines[60:], "\n"]))
+        for name in ("plain", "blank"):
+            config.write_text(json.dumps({**raw, "data": {"csv": str(tmp_path / name / "p.csv")}}))
+            code, _, _ = self.run_cli(capsys, "run", "--config", str(config),
+                                      "--out", str(tmp_path / name / "report"))
+            assert code == 0
+        for name in ("metrics.json", "equity_buy_and_hold.csv", "trades_buy_and_hold.csv"):
+            assert ((tmp_path / "plain" / "report" / name).read_bytes()
+                    == (tmp_path / "blank" / "report" / name).read_bytes())
+
+    def test_blank_lines_in_qtable_are_skipped(self, tmp_path, capsys):
+        config = self.write_config(tmp_path, agent="qtable")
+        table = tmp_path / "trained" / "qtable.csv"
+        assert self.run_cli(capsys, "train", "--config", str(config), "--out", str(table.parent))[0] == 0
+        header, first, *rest = table.read_text().splitlines(keepends=True)
+        written = {}
+        for name, text in (("plain", None), ("blank", "".join([header, "\n", first, "\n", *rest, "\n"]))):
+            if text is not None:
+                table.write_text(text)
+            code, _, _ = self.run_cli(capsys, "evaluate", "--config", str(config),
+                                      "--checkpoint", str(table), "--out", str(tmp_path / name))
+            assert code == 0
+            written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert written["plain"] == written["blank"]
 
     def test_trading_day_holding_period(self, tmp_path, capsys):
         # crossover trades span weekends: calendar days > trading days

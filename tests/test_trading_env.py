@@ -329,6 +329,65 @@ class TestStep:
         assert env.roi(state) == pytest.approx(0.20, rel=1e-12)
 
 
+TWO_DAYS = make_window([1.0, 2.0]).dates
+
+
+def step_once(action):
+    env = make_env([10.0, 11.0])
+    return env.step(env.reset()[0], action)
+
+
+def simulate_two_days(prices, action=Action.HOLD, **fractions):
+    return simulate(prices, TWO_DAYS, Portfolio(100.0, 1), lambda t, portfolio: action, **fractions)
+
+
+def window(dates=TWO_DAYS, prices=(10.0, 11.0), observations=((0.0,), (0.0,))):
+    return MarketWindow(dates, prices, observations)
+
+
+class TestRefusals:
+    """Each refusal of the trade layer, with its exact message."""
+
+    # the kernel checks the action; execute_action's price check must not win
+    @pytest.mark.parametrize("call", [
+        lambda: step_once(7),
+        lambda: simulate_two_days([10.0, 11.0], 7),
+        lambda: execute_action(Portfolio(100.0, 1), 7, 10.0),
+        lambda: execute_action(Portfolio(100.0, 1), 7, -1.0),
+    ], ids=["step", "simulate", "execute_action", "execute_action-negative-price"])
+    def test_invalid_action(self, call):
+        with pytest.raises(ValueError, match=r"^7 is not a valid Action$"):
+            call()
+
+    def test_hold_skips_every_check(self):
+        before = Portfolio(100.0, 1)
+        assert execute_action(before, Action.HOLD, math.nan, sell_fraction=2.0) is before
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_env([10.0, 11.0], reward_mode="log"), "unknown reward mode 'log'"),
+        (lambda: make_env([10.0, 11.0], buy_fraction=0.0), "buy/sell fractions must be in (0, 1]"),
+        (lambda: make_env([10.0, 11.0], sell_fraction=1.5), "buy/sell fractions must be in (0, 1]"),
+        (lambda: window(observations=[0.0, 0.0]),
+         "observations must be a 2-D array (days x features)"),
+        (lambda: window(dates=TWO_DAYS[:1]), "dates, prices, and observations must align"),
+        (lambda: window(prices=[10.0, 0.0]), "prices must be finite and positive"),
+        (lambda: window(prices=[10.0, math.inf]), "prices must be finite and positive"),
+        (lambda: window(observations=[[0.0], [math.nan]]), "observations must be finite"),
+        (lambda: window(dates=TWO_DAYS[::-1]), "window dates must be strictly increasing"),
+        (lambda: simulate_two_days([10.0, 0.0]), "price must be positive"),
+        (lambda: simulate_two_days([10.0, math.nan]), "price must be positive"),
+        (lambda: simulate_two_days([10.0, 11.0], buy_fraction=0.0), "fraction must be in (0, 1]"),
+        (lambda: simulate_two_days([10.0, 11.0], sell_fraction=1.5), "fraction must be in (0, 1]"),
+    ], ids=["reward-mode", "buy-fraction", "sell-fraction", "window-1-d-observations",
+            "window-misaligned", "window-zero-price", "window-inf-price", "window-nan-observation",
+            "window-dates-decreasing", "simulate-zero-price", "simulate-nan-price",
+            "simulate-buy-fraction", "simulate-sell-fraction"])
+    def test_refusal_message(self, call, message):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
 class TestAccountingProperties:
     ACTIONS = (Action.HOLD, Action.BUY, Action.SELL)
 
