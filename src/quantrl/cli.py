@@ -128,6 +128,10 @@ def cmd_train(args: argparse.Namespace, extras: Sequence[str]) -> int:
 
 def _load_artifact(cfg: ExperimentConfig, checkpoint: str | None):
     if cfg.agent not in LEARNING_AGENTS:
+        if checkpoint is not None:
+            raise ExperimentError(
+                "evaluate", f"agent kind {cfg.agent!r} loads no artifact; got --checkpoint {checkpoint}"
+            )
         return None
     if checkpoint is None:
         raise ExperimentError(

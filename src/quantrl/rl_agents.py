@@ -23,6 +23,7 @@ from .metrics import EquityCurve, Fill
 from .neural_net import (
     Mlp,
     _ParameterBlock,
+    _Workspace,
     _backprop,
     _copy_parameters,
     _forward_full,
@@ -33,6 +34,8 @@ from .trading_env import Action, CostModel, Portfolio, ZERO_COST, _trade
 StateKey = tuple[int, ...]
 
 _ACTIONS = tuple(Action)
+# Row a of the identity: the one-hot mask of action a.
+_ONE_HOT = np.eye(len(_ACTIONS), dtype=bool)
 # What an unvisited state reads as; shared, so it is read-only.
 _ZERO_ROW = np.zeros(len(Action))
 _ZERO_ROW.flags.writeable = False
@@ -110,7 +113,8 @@ class _ReplayArrays:
     single `rng.integers` draw, so a batch holds the same values a
     ReplayBuffer of Transitions would return, without per-step objects.
     States and next states share one (2, capacity, width) ring, so a batch's
-    pair is one gather, stacked as the online/target forward takes it.
+    pair is one gather, stacked as the online/target forward takes it. Each
+    action is stored as its one-hot row, the mask the update regresses.
     """
 
     def __init__(self, capacity: int, obs_dim: int) -> None:
@@ -118,7 +122,7 @@ class _ReplayArrays:
         self.size = 0
         self._pushes = 0
         self.state_pairs = np.empty((2, capacity, obs_dim))
-        self.actions = np.empty(capacity, dtype=np.int64)
+        self.taken = np.empty((capacity, len(_ACTIONS)), dtype=bool)
         self.rewards = np.empty(capacity)
         self.terminal = np.empty(capacity, dtype=bool)
 
@@ -126,23 +130,23 @@ class _ReplayArrays:
         slot = self._pushes % self.capacity
         self.state_pairs[0, slot] = state
         self.state_pairs[1, slot] = next_state
-        self.actions[slot] = action
+        self.taken[slot] = _ONE_HOT[action]
         self.rewards[slot] = reward
         self.terminal[slot] = terminal
         self._pushes += 1
         self.size = min(self._pushes, self.capacity)
 
     def sample(self, k: int, rng: np.random.Generator):
-        """(state pairs (2, k, width), actions, rewards, terminal) of k uniform draws."""
+        """(state pairs (2, k, width), taken (k, actions), rewards, terminal) of k uniform draws."""
         i = rng.integers(0, self.size, size=k)
-        return self.state_pairs.take(i, axis=1), self.actions[i], self.rewards[i], self.terminal[i]
+        return self.state_pairs.take(i, 1), self.taken.take(i, 0), self.rewards[i], self.terminal[i]
 
 
 def _stack(batch: Sequence[Transition]):
     """A Transition list as the arrays _ReplayArrays.sample returns."""
     return (
         np.stack([[t.state for t in batch], [t.next_state for t in batch]]),
-        np.array([int(t.action) for t in batch]),
+        np.array([int(t.action) for t in batch])[:, None] == np.arange(len(_ACTIONS)),
         np.array([t.reward for t in batch], dtype=float),
         np.array([t.terminal for t in batch], dtype=bool),
     )
@@ -437,9 +441,11 @@ def bellman_targets(
     return _targets(rewards, forward(target_net, state_pairs[1]), terminal, gamma)
 
 
-def _targets(rewards, q_next: np.ndarray, terminal, gamma: float) -> np.ndarray:
-    """The Bellman targets, given the target network's values at each next state."""
-    return rewards + gamma * np.where(terminal, 0.0, q_next.max(axis=1))
+def _targets(rewards, q_next: np.ndarray, terminal, gamma: float, out=None) -> np.ndarray:
+    """The Bellman targets, given the target network's values at each next state; into `out`."""
+    best = np.maximum.reduce(q_next, axis=1, out=out)
+    np.copyto(best, 0.0, where=terminal)
+    return np.add(rewards, np.multiply(gamma, best, out=best), out=best)
 
 
 def _schedule_for(env: Env, cfg: TrainConfig) -> EpsilonSchedule:
@@ -513,15 +519,16 @@ def dqn_update(
     if lr < 0:
         raise ValueError("learning rate must be non-negative")
     block = _ParameterBlock((net, target_net))
-    loss = _dqn_step(block, *_stack(batch), gamma, lr)
+    loss = _dqn_step(block, _Workspace(block, len(batch)), *_stack(batch), gamma, lr)
     _copy_parameters(block.nets[0], net)
     return loss
 
 
 def _dqn_step(
     block: _ParameterBlock,
+    work: _Workspace,
     state_pairs: np.ndarray,
-    actions: np.ndarray,
+    taken: np.ndarray,
     rewards: np.ndarray,
     terminal: np.ndarray,
     gamma: float,
@@ -530,15 +537,19 @@ def _dqn_step(
     """dqn_update of block row 0 (online) against row 1 (target): only Q(s_i, a_i) regresses.
 
     One stacked forward gives the online net's values at the states and the
-    target net's at the next states; the SGD step updates row 0 in place.
+    target net's at the next states; `taken` is each row's one-hot action
+    mask. Every intermediate goes to `work`; the SGD step updates row 0 in place.
+    With two hidden layers that is 32 numpy calls (8 forward, 4 targets, 2
+    residual, 16 backprop, 2 SGD) where building each array anew took 35.
     """
-    zs, activations = _forward_full(block.stacked, state_pairs)
+    activations = _forward_full(block.stacked, state_pairs, work.activations)
     q, q_next = activations[-1]
-    targets = _targets(rewards, q_next, terminal, gamma)
-    residual = np.where(actions[:, None] == np.arange(q.shape[1]), q - targets[:, None], 0.0)
-    loss = _backprop(block.nets[0], [z[0] for z in zs], [a[0] for a in activations], residual,
-                     len(actions), block.grads)
-    block.params[0] -= lr * block.grad
+    targets = _targets(rewards, q_next, terminal, gamma, work.targets)
+    work.residual.fill(0.0)  # where=taken leaves the other entries as they are
+    residual = np.subtract(q, targets[:, None], out=work.residual, where=taken)
+    loss = _backprop(block.nets[0], [state_pairs[0], *work.online], residual, len(taken),
+                     block.grads, work)
+    np.subtract(block.params[0], np.multiply(lr, block.grad, out=work.step), out=block.params[0])
     return loss
 
 
@@ -574,6 +585,7 @@ def train_dqn(
     block = _ParameterBlock((net, net))
     online, params = block.nets[0], block.params
     replay = _ReplayArrays(cfg.buffer_capacity, net.layer_sizes[0])
+    work = _Workspace(block, cfg.batch_size)
     history: list[HistoryRow] = []
     step = 0
     for episode in range(cfg.episodes):
@@ -589,7 +601,7 @@ def train_dqn(
             replay.push(obs, int(action), reward, next_obs, done)
             if replay.size >= cfg.batch_size:
                 batch = replay.sample(cfg.batch_size, rng)
-                loss = _dqn_step(block, *batch, cfg.gamma, cfg.alpha)
+                loss = _dqn_step(block, work, *batch, cfg.gamma, cfg.alpha)
                 if not math.isfinite(loss):
                     raise ValueError(
                         f"training diverged: loss {loss} at episode {episode}, step {step}"

@@ -41,6 +41,16 @@ def write(path: Path, text: str) -> Path:
     return path
 
 
+def main_quietly(argv):
+    """(exit code, stderr, warning messages) of one in-process CLI call; its stdout is dropped."""
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(StringIO()), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
 def run_cli(capsys, argv):
     """(exit code, stdout, stderr, warning messages) of one in-process CLI call."""
     with warnings.catch_warnings(record=True) as caught:
@@ -282,6 +292,11 @@ CASES = {
     "evaluate-no-checkpoint": (
         lambda tmp, r: ["evaluate", "--config", config_file(tmp, "qtable")],
         "evaluate", "needs --checkpoint"),
+    # a baseline returned before --checkpoint was read: this exited 0 with a full report
+    "evaluate-baseline-with-checkpoint": (
+        lambda tmp, r: ["evaluate", "--config", config_file(tmp), "--checkpoint", tmp / "nope.txt",
+                        "--out", tmp / "out"],
+        "evaluate", r"agent kind 'buy_and_hold' loads no artifact; got --checkpoint \S+nope\.txt"),
     "evaluate-missing-checkpoint": (
         lambda tmp, r: ["evaluate", "--config", config_file(tmp, "dqn"),
                         "--checkpoint", tmp / "nope.txt"],
@@ -548,20 +563,46 @@ def test_damaged_artifact_evaluates_or_is_one_tagged_line(trained_artifacts, age
     with tempfile.TemporaryDirectory() as tmp:
         directory = shutil.copytree(artifact.parent, Path(tmp) / "trained")
         (directory / name).write_bytes(text)
-        out, err = StringIO(), StringIO()
-        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["evaluate", "--config", str(cfg), "--checkpoint", str(directory / artifact.name),
-                         "--out", str(Path(tmp) / "out")])
+        code, err, caught = main_quietly(["evaluate", "--config", cfg, "--checkpoint",
+                                          directory / artifact.name, "--out", Path(tmp) / "out"])
         left = (Path(tmp) / "out").exists()
     event(f"{how}, exit {code}")
-    assert [str(w.message) for w in caught] == []
+    assert caught == []
     assert code in (0, 1)
     if code == 1:
-        assert re.fullmatch(r"error: \[evaluate\] \S[^\n]*\n", err.getvalue()), err.getvalue()
+        assert re.fullmatch(r"error: \[evaluate\] \S[^\n]*\n", err), err
         assert not left
     else:
-        assert err.getvalue() == ""
+        assert err == ""
+
+
+@pytest.fixture(scope="module")
+def price_csv(tmp_path_factory):
+    """The sinusoid of `config` written as a price CSV."""
+    path = tmp_path_factory.mktemp("prices") / "data.csv"
+    assert main_quietly(["synth", "--kind", "sinusoid", "--length", LENGTH, "--out", path])[0] == 0
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_price_csv_runs_or_is_one_tagged_line(price_csv, data):
+    # a small Q-table run: ingest, training and evaluation all read the damaged bars
+    how, text = data.draw(damaged(price_csv.read_bytes()))
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "data.csv"
+        csv.write_bytes(text)
+        cfg = write(Path(tmp) / "c.json", json.dumps(config("qtable", data={"csv": str(csv)})))
+        code, err, caught = main_quietly(["run", "--config", cfg, "--out", Path(tmp) / "out"])
+        left = (Path(tmp) / "out").exists()
+    event(f"{how}, exit {code}")
+    assert caught == []
+    assert code in (0, 1)
+    if code == 1:
+        assert re.fullmatch(r"error: \[(config|ingest|train|evaluate|report)\] \S[^\n]*\n", err), err
+        assert not left
+    else:
+        assert err == ""
 
 
 def row_labels(out):

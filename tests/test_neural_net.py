@@ -213,7 +213,7 @@ class TestParameterBlock:
                 b[:] = rng.normal(size=b.shape)
         block = _ParameterBlock(nets)
         x = rng.normal(size=(2, batch, sizes[0]))
-        _, activations = _forward_full(block.stacked, x)
+        activations = _forward_full(block.stacked, x)
         for row, net in enumerate(nets):
             want = forward(net, x[row])
             assert activations[-1][row].shape == want.shape

@@ -11,7 +11,7 @@ from quantrl.market_data import generate_synthetic
 from quantrl.metrics import Fill, match_trades
 
 from quantrl.neural_net import (
-    Mlp, _ParameterBlock, backward, clone_parameters, forward, init_mlp, sgd_step,
+    Mlp, _ParameterBlock, _Workspace, backward, clone_parameters, forward, init_mlp, sgd_step,
 )
 from quantrl.rl_agents import (
     Discretizer,
@@ -21,6 +21,7 @@ from quantrl.rl_agents import (
     ReplayBuffer,
     TrainConfig,
     Transition,
+    _ReplayArrays,
     _discretize_rows,
     _dqn_step,
     _greedy,
@@ -630,11 +631,29 @@ class TestDqnUpdate:
         expected_loss, expected = masked_backward(net, target, transitions, 0.95, unselected)
 
         block = _ParameterBlock((net, target))
-        loss = _dqn_step(block, *_stack(transitions), 0.95, 0.01)
+        loss = _dqn_step(block, _Workspace(block, batch), *_stack(transitions), 0.95, 0.01)
         assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
         for got, want in zip((*block.grads.weights, *block.grads.biases),
                              (*expected.weights, *expected.biases)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_step_reads_nothing_an_earlier_step_left_in_its_workspace(self):
+        # every workspace array poisoned first: a step must write each before reading it
+        rng = np.random.default_rng(5)
+        layers = (3, 6, 5, 3)
+        net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
+        batch = _stack(random_transitions(rng, 3, 8, 1.0))
+        results = []
+        for poisoned in (False, True):
+            block = _ParameterBlock((net, target))
+            work = _Workspace(block, 8)
+            if poisoned:
+                for a in (*work.activations, *work.deltas, *work.masks,
+                          work.targets, work.residual, work.step):
+                    a.fill(True if a.dtype == bool else np.nan)
+            loss = _dqn_step(block, work, *batch, 0.95, 0.01)
+            results.append((np.float64(loss).tobytes(), block.params.tobytes(), block.grad.tobytes()))
+        assert results[0] == results[1]
 
 
 class TestEpsilonSchedule:
@@ -823,6 +842,12 @@ class TestTrainDqn:
     def test_matches_public_replay_reference(self):
         self.check_public_replay_reference((8,), 4, 0.05)
 
+    def test_replay_rewrite_replaces_the_whole_action_mask(self):
+        replay = _ReplayArrays(2, 1)
+        for action in (2, 1, 0):  # the third push rewrites slot 0, which held action 2
+            replay.push(np.zeros(1), action, 0.0, np.zeros(1), False)
+        assert replay.taken.tolist() == [[True, False, False], [False, True, False]]
+
     @pytest.mark.parametrize(
         "hidden, batch_size, eps_end",
         [
@@ -836,18 +861,40 @@ class TestTrainDqn:
     def test_matches_public_replay_reference_over_settings(self, hidden, batch_size, eps_end):
         self.check_public_replay_reference(hidden, batch_size, eps_end)
 
-    def check_public_replay_reference(self, hidden, batch_size, eps_end):
-        # 3 episodes x 13 steps = 39 pushes into 16 slots: the ring wraps twice
+    # 39 pushes wrap a ring of at most 19 slots at least twice, so slots are
+    # rewritten, often with another action; training reuses one workspace
+    # for every update, the reference builds a new one per update
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 8), max_size=3),
+        capacity=st.integers(1, 19),
+        data=st.data(),
+        gamma=st.floats(0.0, 0.99),
+        eps_end=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_public_replay_reference_property(
+        self, hidden, capacity, data, gamma, eps_end, seed
+    ):
+        batch_size = data.draw(st.integers(1, capacity), label="batch_size")
+        self.check_public_replay_reference(
+            tuple(hidden), batch_size, eps_end, capacity=capacity, gamma=gamma, seed=seed
+        )
+
+    def check_public_replay_reference(
+        self, hidden, batch_size, eps_end, capacity=16, gamma=0.99, seed=3
+    ):
+        # 3 episodes x 13 steps = 39 pushes; the default 16 slots wrap twice
         env = make_env(np.linspace(100, 115, 14), obs_dim=3)
         cfg = TrainConfig(
-            alpha=0.01, episodes=3, batch_size=batch_size, buffer_capacity=16,
-            target_sync_period=5, eps_end=eps_end, seed=3,
+            alpha=0.01, gamma=gamma, episodes=3, batch_size=batch_size,
+            buffer_capacity=capacity, target_sync_period=5, eps_end=eps_end, seed=seed,
         )
         layers = (3, *hidden, 3)
-        trained, history = train_dqn(env, cfg, init_mlp(layers, seed=3))
+        trained, history = train_dqn(env, cfg, init_mlp(layers, seed=seed))
 
         # the same loop through ReplayBuffer, Transition and dqn_update
-        net = init_mlp(layers, seed=3)
+        net = init_mlp(layers, seed=seed)
         rng = np.random.default_rng(cfg.seed)
         total_steps = cfg.episodes * env.steps_per_episode
         schedule = EpsilonSchedule(cfg.eps_start, cfg.eps_end, round(0.8 * total_steps))
@@ -869,11 +916,12 @@ class TestTrainDqn:
                 step += 1
                 if step % cfg.target_sync_period == 0:
                     target = clone_parameters(net)
-            losses_per_episode.append(float(np.mean(losses)))
+            losses_per_episode.append(np.mean(losses).tobytes() if losses else None)
 
-        assert all(np.array_equal(a, b) for a, b in zip(trained.weights, net.weights))
-        assert all(np.array_equal(a, b) for a, b in zip(trained.biases, net.biases))
-        assert [r.mean_loss for r in history] == losses_per_episode
+        for got, want in zip((*trained.weights, *trained.biases), (*net.weights, *net.biases)):
+            assert got.tobytes() == want.tobytes()
+        assert [None if r.mean_loss is None else np.float64(r.mean_loss).tobytes()
+                for r in history] == losses_per_episode
 
     def test_non_finite_loss_raises(self):
         env, cfg, net = self.small_setup()
