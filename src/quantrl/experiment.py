@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from dataclasses import Field, asdict, dataclass, fields
 from datetime import date
 from functools import partial
+from operator import add
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -586,9 +587,13 @@ class Report:
     artifact: Mlp | QTable | None
 
     @property
+    def test_dates(self) -> tuple[date, ...]:
+        """The test window's dates, which every strategy's curve spans."""
+        return next(iter(self.strategies.values())).test_curve.dates
+
+    @property
     def test_window_span(self) -> tuple[date, date]:
-        result = next(iter(self.strategies.values()))
-        return result.test_curve.dates[0], result.test_curve.dates[-1]
+        return self.test_dates[0], self.test_dates[-1]
 
 
 def _window_result(
@@ -666,10 +671,9 @@ def _json_text(payload: Any) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _equity_csv(curve: EquityCurve) -> str:
-    lines = ["date,value"]
-    lines.extend(f"{d.isoformat()},{repr(float(v))}" for d, v in zip(curve.dates, curve.values))
-    return "\n".join(lines) + "\n"
+def _equity_csv(days: Sequence[str], curve: EquityCurve) -> str:
+    """The curve's file, given each of its dates formatted as "YYYY-MM-DD,"."""
+    return "\n".join(["date,value", *map(add, days, map(repr, curve.values.tolist())), ""])
 
 
 def _trades_csv(trades: Sequence[RoundTripTrade]) -> str:
@@ -805,8 +809,9 @@ def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     written = emit_training(report.config, report.history, report.artifact, out)
     texts = {}
+    days = [d.isoformat() + "," for d in report.test_dates]
     for name, result in report.strategies.items():
-        texts[f"equity_{name}.csv"] = _equity_csv(result.test_curve)
+        texts[f"equity_{name}.csv"] = _equity_csv(days, result.test_curve)
         texts[f"trades_{name}.csv"] = _trades_csv(result.test_trades)
     texts["metrics.json"] = _json_text(metrics_document(report))
     for name, text in texts.items():

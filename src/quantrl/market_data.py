@@ -13,6 +13,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
@@ -219,6 +220,30 @@ class Normalizer:
         return np.clip(2.0 * unit - 1.0, -1.0, 1.0)
 
 
+_BLOCK_LINES = 1024
+
+
+def _parse_block(lines: list[str], width: int) -> tuple[list[date], array]:
+    """The dates and row-major values of plain comma-separated lines.
+
+    ValueError unless every non-empty line is `width` unquoted cells within
+    csv's field size limit that all convert, so that csv.reader would give
+    the same cells.
+    """
+    rows = list(filter(None, lines))
+    text = ",".join(rows)
+    if ('"' in text or {*map(str.count, rows, repeat(","))} != {width - 1}
+            or max(map(len, rows)) > csv.field_size_limit()):
+        raise ValueError("not plain comma-separated rows")
+    cells = text.split(",")
+    days = list(map(str.strip, cells[::width]))
+    if not all(map(_ISO_DATE.fullmatch, days)):
+        raise ValueError("not ISO dates")
+    dates = list(map(date.fromisoformat, days))
+    del cells[::width]
+    return dates, array("d", map(float, cells))
+
+
 def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
     """Parse a daily price CSV into a validated BarSeries.
 
@@ -230,36 +255,56 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
         lines = path.read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    reader = csv.reader(lines)
-    header = next(reader, None)
+    source = iter(lines)
+    header = next(csv.reader(source), None)
     if header is None:
         raise DataError(f"{path}: empty file, expected a header row")
     header = tuple(cell.strip() for cell in header)
     if header not in (CSV_COLUMNS, CSV_COLUMNS_NO_ADJ):
         raise DataError(f"{path}: unexpected header {','.join(header)!r}")
-    has_adj = header == CSV_COLUMNS
-    # One pass parses rows into a flat buffer, validated as columns after it.
-    # The first bad row still wins, a validation error over a later parse error.
     dates: list[date] = []
-    values = array("d")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    values = array("d")  # row-major, one value per column after Date
+
+    def parsed() -> np.ndarray:
+        """The (rows, 6) block parsed so far; close stands in for a missing Adj Close."""
+        rows = np.frombuffer(values).reshape(-1, len(header) - 1)
+        return rows if header == CSV_COLUMNS else np.insert(rows, 4, rows[:, 3], axis=1)
+
+    # Blocks of lines parse as columns. A block _parse_block refuses goes
+    # through csv.reader row by row, which names the first bad row; rows are
+    # validated as columns after the parse, and the first bad row still wins,
+    # a validation error over a later parse error.
+    lineno = 2
+    while chunk := list(islice(source, _BLOCK_LINES)):
         try:
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            day = parse_date(row[0].strip())
-            numbers = [float(cell) for cell in row[1:]]
-        except ValueError as exc:
-            _check_rows(dates, np.frombuffer(values).reshape(-1, len(_FIELDS)))
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if not has_adj:
-            numbers.insert(4, numbers[3])
-        dates.append(day)
-        values.extend(numbers)
+            days, numbers = _parse_block(chunk, len(header))
+        except ValueError:
+            pass
+        else:
+            dates += days
+            values += numbers
+            lineno += len(chunk)
+            continue
+        # The reader reads on past the block while a quoted cell spans lines.
+        reader = csv.reader(chain(chunk, source))
+        for row in reader:
+            if row:
+                try:
+                    if len(row) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                    day = parse_date(row[0].strip())
+                    numbers = array("d", map(float, row[1:]))
+                except ValueError as exc:
+                    _check_rows(dates, parsed())
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                dates.append(day)
+                values += numbers
+            lineno += 1
+            if reader.line_num >= len(chunk):
+                break
     if not dates:
         raise DataError(f"{path}: no data rows")
-    block = np.frombuffer(values).reshape(-1, len(_FIELDS))
+    block = parsed()
     _check_rows(dates, block)
     _check_increasing(dates)
     return BarSeries._from_columns(symbol or path.stem, tuple(dates), block)

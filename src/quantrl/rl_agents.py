@@ -69,6 +69,8 @@ class Transition:
     def __post_init__(self) -> None:
         if np.asarray(self.state).shape != np.asarray(self.next_state).shape:
             raise ValueError("state and next_state must have identical shape")
+        if self.action not in (Action.HOLD, Action.BUY, Action.SELL):
+            raise ValueError(f"{self.action!r} is not a valid Action")
 
 
 class ReplayBuffer:

@@ -605,6 +605,27 @@ def test_damaged_price_csv_runs_or_is_one_tagged_line(price_csv, data):
         assert err == ""
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_config_runs_or_is_one_tagged_line(data):
+    # the small Q-table run of the price CSV property, from a damaged config file
+    text = json.dumps(config("qtable"), indent=2).encode("utf-8")
+    how, text = data.draw(damaged(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_bytes(text)
+        code, err, caught = main_quietly(["run", "--config", cfg, "--out", Path(tmp) / "out"])
+        left = (Path(tmp) / "out").exists()
+    event(f"{how}, exit {code}")
+    assert caught == []
+    assert code in (0, 1)
+    if code == 1:
+        assert re.fullmatch(r"error: \[(config|ingest|train|evaluate|report)\] \S[^\n]*\n", err), err
+        assert not left
+    else:
+        assert err == ""
+
+
 def row_labels(out):
     """The strategy column of a compare table."""
     return [line.split()[0] for line in out.splitlines()[2:]]

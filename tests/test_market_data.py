@@ -1,10 +1,12 @@
 import csv
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from quantrl import market_data
 from quantrl.market_data import (
     CSV_COLUMNS,
     CSV_COLUMNS_NO_ADJ,
@@ -202,6 +204,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line|oops|could not convert"):
             load_csv(path)
 
+    def test_cell_past_csv_field_limit(self, tmp_path):
+        # float() takes the padded volume, but csv.reader refuses the cell, as it always has
+        path = self.write(tmp_path, ["2020-01-01,10,11,9,10.5,10.4,1000" + " " * csv.field_size_limit()])
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path)
+
     def test_unknown_header(self, tmp_path):
         path = self.write(tmp_path, ["2020-01-01,10,1000"], header="Date,Price,Volume")
         with pytest.raises(DataError, match="unexpected header"):
@@ -305,6 +313,31 @@ def price_csv(draw):
     return ("\n".join(",".join(cells) for cells in [list(header), *rows]) + "\n").encode("utf-8")
 
 
+@st.composite
+def blocked_csv(draw):
+    """A price_csv with blank and whitespace-only lines and quoted cells, some spanning two
+    lines, and at times an invalid OHLC row well ahead of an unparsable one."""
+    header, *rows = draw(price_csv()).decode("utf-8").split("\n")[:-1]
+    if len(rows) >= 7 and draw(st.booleans()):
+        early = draw(st.integers(0, len(rows) - 7))
+        late = draw(st.integers(early + 6, len(rows) - 1))
+        for i, column, text in ((early, 2, "1e-9"), (late, 4, "oops")):  # high below low
+            cells = rows[i].split(",")
+            cells[min(column, len(cells) - 1)] = text
+            rows[i] = ",".join(cells)
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(rows)))
+        kind = draw(st.sampled_from(["blank", "spaces", "quoted", "quoted_newline"]))
+        if kind in ("blank", "spaces"):
+            rows.insert(i, "" if kind == "blank" else draw(st.sampled_from([" ", "\t", "  "])))
+        elif i < len(rows):
+            cells = rows[i].split(",")
+            j = draw(st.integers(0, len(cells) - 1))
+            cells[j] = f'"{cells[j]}\n"' if kind == "quoted_newline" else f'"{cells[j]}"'
+            rows[i] = ",".join(cells)
+    return ("\n".join([header, *rows]) + "\n").encode("utf-8")
+
+
 def reference_load_csv(path):
     """load_csv as a per-row loop that builds one Bar per row: columns or the error text."""
     try:
@@ -357,17 +390,21 @@ class TestLoadCsvProperties:
             return
         assert len(bars) >= 1
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(price_csv(), mutated_csv()))
-    def test_matches_per_row_reference(self, tmp_path_factory, data):
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(price_csv(), mutated_csv(), blocked_csv()),
+           st.sampled_from([2, 3, 4, 5, market_data._BLOCK_LINES]))
+    def test_matches_per_row_reference(self, tmp_path_factory, data, block_lines):
         # the columnar loader gives the same bars, or the same first error, as
-        # parsing and validating one row at a time
+        # parsing and validating one row at a time; with blocks of a few lines a
+        # file mixes blocks parsed as columns with blocks read row by row, and
+        # an error can sit in any block
         path = tmp_path_factory.getbasetemp() / "reference.csv"
         path.write_bytes(data)
-        try:
-            got = columns(load_csv(path))
-        except DataError as exc:
-            got = str(exc)
+        with mock.patch.object(market_data, "_BLOCK_LINES", block_lines):
+            try:
+                got = columns(load_csv(path))
+            except DataError as exc:
+                got = str(exc)
         assert got == reference_load_csv(path)
 
     @pytest.mark.parametrize("row, message", [

@@ -510,6 +510,13 @@ class TestReplayBuffer:
         with pytest.raises(ValueError, match=">= 1"):
             ReplayBuffer(0)
 
+    @pytest.mark.parametrize("action", [7, -1, 1.5])
+    def test_transition_refuses_invalid_action(self, action):
+        # dqn_update would regress nothing for it and still count it in the loss
+        with pytest.raises(ValueError) as info:
+            transition(action=action)
+        assert str(info.value) == f"{action!r} is not a valid Action"
+
 
 class TestBellmanTargets:
     def constant_net(self, outputs):
