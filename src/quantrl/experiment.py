@@ -759,8 +759,8 @@ def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
     """Read the trained artifact of cfg's learning agent, as emit_training wrote it.
 
     The config_echo.json emit_training wrote beside it, if there is one, must
-    agree with cfg on every TRAINING_KEYS key and on the key that shapes this
-    learner's artifact; an artifact alone is not checked.
+    agree with cfg on the agent, on every TRAINING_KEYS key and on the key that
+    shapes this learner's artifact; an artifact alone is not checked.
     """
     _check_config_echo(cfg, Path(path).parent / "config_echo.json")
     return _ARTIFACTS[cfg.agent][2](path)
@@ -771,7 +771,7 @@ def _check_config_echo(cfg: ExperimentConfig, path: Path) -> None:
         return
     echo = read_json(path)
     current = config_to_dict(cfg)
-    for key in (*TRAINING_KEYS, _ARTIFACTS[cfg.agent][3]):
+    for key in ("agent", *TRAINING_KEYS, _ARTIFACTS[cfg.agent][3]):
         if echo.get(key) != current[key]:
             trained, evaluated = (json.dumps(v, sort_keys=True) for v in (echo.get(key), current[key]))
             raise ValueError(f"{path}: artifact trained under {key}={trained}, not {evaluated}")

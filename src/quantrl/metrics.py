@@ -154,12 +154,12 @@ def decode_metric(raw: float | str) -> float | None:
 
 def cumulative_return(period_returns: Sequence[float] | np.ndarray) -> float:
     """Compounded return: product of (1 + R_i), minus one. Empty input -> 0."""
-    total = 1.0
-    for r in np.asarray(period_returns, dtype=float).ravel().tolist():
-        if r <= -1.0:
-            raise ValueError(f"return {r} is <= -1")
-        total *= 1.0 + r
-    return total - 1.0
+    values = np.asarray(period_returns, dtype=float).ravel()
+    ruined = values <= -1.0
+    if ruined.any():
+        raise ValueError(f"return {values[ruined.argmax()].item()} is <= -1")
+    # math.prod multiplies left to right: the bits of a running product
+    return math.prod((1.0 + values).tolist()) - 1.0
 
 
 def sharpe(portfolio_return: float, risk_free: float, stdev_excess: float) -> float | None:
@@ -185,17 +185,9 @@ def sharpe_from_daily(
 
 
 def max_drawdown(curve: EquityCurve) -> float:
-    """Largest fractional decline from a running peak, single forward pass."""
-    peak = float(curve.values[0])
-    worst = 0.0
-    for v in curve.values:
-        value = float(v)
-        if value > peak:
-            peak = value
-        drawdown = (peak - value) / peak
-        if drawdown > worst:
-            worst = drawdown
-    return worst
+    """Largest fractional decline from a running peak."""
+    peaks = np.maximum.accumulate(curve.values)
+    return float(((peaks - curve.values) / peaks).max())
 
 
 def average_daily_return(initial: float, final: float, days: int) -> float:

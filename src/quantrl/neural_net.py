@@ -77,7 +77,7 @@ def _flat(net: Mlp) -> np.ndarray:
 
 
 class _ParameterBlock:
-    """Networks of one layout held as the rows of one (rows, n_params) float64 block.
+    """Networks of one layout as the rows of one (rows, n_params) block, with one update's arrays.
 
     `stacked` views every row at once: weights (rows, fan_in, fan_out) and
     biases (rows, 1, fan_out), so `_forward_full(block.stacked, x)` over a
@@ -85,13 +85,16 @@ class _ParameterBlock:
     each slice of a stacked product as the 2-D product alone, so row r's
     result has the bits of `forward(nets[r], x[r])` (a property test checks
     this on the machine it runs on). `nets[r]` is row r's Mlp view; `grad`
-    is a flat buffer that `grads` views in the same layout. A DQN update of
-    row 0 with two hidden layers makes 32 numpy calls into a `_Workspace`
-    and allocates no array; before the workspace it made 35 calls, 7 of them
-    through Python-level wrappers, and allocated 26 arrays.
+    is a flat buffer that `grads` views in the same layout.
+
+    The other arrays are what an SGD step of row 0 on `batch` inputs writes,
+    reused: `activations[i]` is layer i's (rows, batch, width) output,
+    `online` its row 0; `deltas[i]` and `masks[i]` are that layer's error
+    and ReLU mask. A DQN update of row 0 with two hidden layers makes 32
+    numpy calls into them and allocates no array.
     """
 
-    def __init__(self, nets: Sequence[Mlp]) -> None:
+    def __init__(self, nets: Sequence[Mlp], batch: int) -> None:
         sizes = nets[0].layer_sizes
         self.params = np.empty((len(nets), _parameter_count(sizes)))
         self.stacked = _views(sizes, self.params)
@@ -100,24 +103,13 @@ class _ParameterBlock:
             _copy_parameters(net, view)
         self.grad = np.empty(self.params.shape[1])
         self.grads = _gradient_views(sizes, self.grad)
-
-
-class _Workspace:
-    """The arrays an SGD step of a _ParameterBlock's row 0 on `batch` inputs writes, reused.
-
-    `activations[i]` is layer i's (rows, batch, width) output, `online` its
-    row 0; `deltas[i]` and `masks[i]` are that layer's error and ReLU mask.
-    """
-
-    def __init__(self, block: _ParameterBlock, batch: int) -> None:
-        sizes = block.nets[0].layer_sizes
-        self.activations = [np.empty((len(block.params), batch, n)) for n in sizes[1:]]
+        self.activations = [np.empty((len(nets), batch, n)) for n in sizes[1:]]
         self.online = [a[0] for a in self.activations]
         self.targets = np.empty(batch)
         self.residual = np.empty((batch, sizes[-1]))
         self.deltas = [np.empty((batch, n)) for n in sizes[1:]]
         self.masks = [np.empty((batch, n), dtype=bool) for n in sizes[1:-1]]
-        self.step = np.empty_like(block.grad)
+        self.step = np.empty_like(self.grad)
 
 
 def _gradient_views(sizes: tuple[int, ...], flat: np.ndarray | None = None) -> GradientSet:
@@ -236,8 +228,7 @@ def backward(
     selected, count = _selection(mask, tgt.shape)
     activations = _forward_full(net, x)
     residual = np.where(selected, activations[-1] - tgt, 0.0)
-    grads = _gradient_views(net.layer_sizes)
-    return _backprop(net, activations, residual, count, grads), grads
+    return _backprop(net, activations, residual, count)
 
 
 def _backprop(
@@ -245,15 +236,16 @@ def _backprop(
     activations: list[np.ndarray],
     residual: np.ndarray,
     count: int,
-    out: GradientSet,
-    work: _Workspace | None = None,
-) -> float:
-    """Loss of sum(residual**2) / count, given a forward pass; its gradients go to `out`.
+    block: _ParameterBlock | None = None,
+) -> tuple[float, GradientSet]:
+    """Loss of sum(residual**2) / count, given a forward pass, and its gradients.
 
-    Each layer's error and ReLU mask go to `work` if given, else to new arrays.
+    The gradients and each layer's error and ReLU mask go to `block`'s
+    buffers if given, else to new arrays.
     """
     layers = len(net.weights)
-    deltas, masks = (work.deltas, work.masks) if work else ([None] * layers,) * 2
+    out = block.grads if block else _gradient_views(net.layer_sizes)
+    deltas, masks = (block.deltas, block.masks) if block else ([None] * layers,) * 2
     squares = np.multiply(residual, residual, out=deltas[-1])
     loss = float(np.add.reduce(squares, axis=None)) / count
     delta = np.multiply(2.0, residual, out=deltas[-1])
@@ -265,7 +257,7 @@ def _backprop(
             active = np.greater(activations[layer], 0.0, out=masks[layer - 1])
             delta = np.matmul(delta, net.weights[layer].T, out=deltas[layer - 1])
             np.multiply(delta, active, out=delta)
-    return loss
+    return loss, out
 
 
 def sgd_step(net: Mlp, grads: GradientSet, lr: float) -> Mlp:

@@ -143,6 +143,28 @@ def evaluate_trained(*overrides, echo=None, agent="dqn"):
     return argv
 
 
+def evaluate_after_baseline_run(tmp, r):
+    """An evaluate argv for a DQN checkpoint whose directory a later buy-and-hold run wrote into.
+
+    The run rewrites config_echo.json but leaves the checkpoint, trained under another train_end.
+    """
+    cfg, shared = config_file(tmp, "dqn"), tmp / "shared"
+    assert main(["train", "--config", str(cfg), f"--train_end={DATES[TRAIN_BARS - 5]}",
+                 "--out", str(shared)]) == 0
+    assert main(["run", "--config", str(cfg), "--agent=buy_and_hold", "--out", str(shared)]) == 0
+    return ["evaluate", "--config", cfg, "--checkpoint", shared / "checkpoint_dqn.txt",
+            "--out", tmp / "out"]
+
+
+# (kind, data.synthetic key, value, message) that generate_synthetic refuses
+SYNTHETIC_REFUSALS = [
+    ("sinusoid", "base", -1.0, "base price must be positive"),
+    ("sinusoid", "volume", -1.0, "volume must be non-negative"),
+    ("sinusoid", "period_days", 0.0, "period_days must be positive"),
+    ("trend", "drift", -1.0, "drift must be > -1"),
+    ("gbm", "volatility", -1.0, "volatility must be non-negative"),
+]
+
 QTABLE_3_WIDE = "state_key,q_hold,q_buy,q_sell\n1-1-1,0.0,1.0,0.0\n"
 
 BAD_ROW_CSV = (
@@ -244,6 +266,16 @@ CASES = {
             tmp, data={"synthetic": {"kind": "gbm", "length": LENGTH}})],
         "ingest", "data.synthetic: gbm with volatility 0 and drift 0 is a constant series,"
                   " which cannot be normalized; set volatility or drift"),
+    # each writes nothing: no report directory, no CSV
+    **{f"run-synthetic-{key}": (
+        lambda tmp, r, kind=kind, key=key, value=value: [
+            "run", "--config", config_file(tmp, data={"synthetic": {
+                "kind": kind, "length": LENGTH, key: value}}), "--out", tmp / "out"],
+        "ingest", re.escape(message)) for kind, key, value, message in SYNTHETIC_REFUSALS},
+    **{f"synth-{key}": (
+        lambda tmp, r, kind=kind, key=key, value=value: [
+            "synth", "--kind", kind, "--length", "50", f"--{key}", str(value), "--out", tmp / "out"],
+        "ingest", re.escape(message)) for kind, key, value, message in SYNTHETIC_REFUSALS},
     "run-missing-csv": (
         lambda tmp, r: ["run", "--config", config_file(tmp, data={"csv": str(tmp / "x.csv")})],
         "ingest", "No such file"),
@@ -356,6 +388,10 @@ CASES = {
     "evaluate-echo-other-data": (
         evaluate_trained("--data.synthetic.seed=3"),
         "evaluate", r'artifact trained under data=\{"synthetic": \{.*"seed": 0'),
+    # the echo matched on every training key and evaluate exited 0 with a report
+    "evaluate-echo-other-agent": (
+        evaluate_after_baseline_run,
+        "evaluate", r'shared/config_echo\.json: artifact trained under agent="buy_and_hold", not "dqn"'),
     "evaluate-malformed-echo": (
         evaluate_trained(echo=lambda text: "{"), "evaluate", r"trained/config_echo\.json: Expecting"),
     # checked against the last sma_period, the echo passed
@@ -440,6 +476,11 @@ CASES = {
     "compare-missing-history": missing_file("history.csv"),
     "compare-missing-equity": missing_file("equity_buy_and_hold.csv"),
     "compare-missing-trades": missing_file("trades_buy_and_hold.csv"),
+    # a report of no strategy reached the table builder
+    "compare-no-strategies": (
+        lambda tmp, r: ["compare", broken_report(tmp, r, edit_metrics(
+            lambda doc: doc["strategies"].clear()))],
+        "report", "nothing to compare"),
     "compare-mismatched-windows": (
         lambda tmp, r: ["compare", r / "good", r / "other"],
         "report", "test windows differ: other:buy_and_hold covers"),

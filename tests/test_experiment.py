@@ -236,6 +236,12 @@ class TestConfig:
                 }
             )
 
+    @pytest.mark.parametrize("raw", [[], ["agent"], 3, None])
+    def test_non_object_refused(self, raw):
+        with pytest.raises(ConfigError) as refused:
+            config_from_dict(raw)
+        assert str(refused.value) == "config must be a JSON object"
+
     def test_data_shape_validated(self):
         with pytest.raises(ConfigError, match="exactly one"):
             config_from_dict({"data": {}, "agent": "dqn"})
@@ -628,6 +634,13 @@ class TestRunExperiment:
             with stage("report"):
                 next(iter(()))
         assert isinstance(caught.value.__cause__, StopIteration)
+
+    def test_nested_stage_keeps_the_inner_tag(self):
+        with pytest.raises(ExperimentError) as caught:
+            with stage("train"):
+                with stage("report"):
+                    raise ValueError("disk full")
+        assert str(caught.value) == "[report] disk full" and caught.value.stage == "report"
 
     def test_no_test_leakage(self, tmp_path):
         dates = synthetic_dates(kind="gbm", length=120, seed=3, volatility=0.25, drift=0.05)

@@ -13,6 +13,7 @@ from quantrl.market_data import (
     Bar,
     BarSeries,
     DataError,
+    Normalizer,
     ReturnSeries,
     apply_normalizer,
     build_observations,
@@ -478,6 +479,27 @@ class TestParseDate:
         except ValueError:
             return
         assert day.isoformat() == text
+
+
+# id -> (call, message) of each refusal of a value that code, not a file, passes in
+REFUSALS = {
+    "return-series-length": (lambda: ReturnSeries((date(2020, 1, 2),), np.array([0.1, 0.2])),
+                             "dates and values must have equal length"),
+    "return-series-non-finite": (lambda: returns_of([0.1, np.nan]), "return values must be finite"),
+    "normalizer-degenerate-range": (lambda: Normalizer(0.1, 0.1),
+                                    "degenerate range: min_x must be strictly below max_x"),
+    "rsi-period": (lambda: rsi([1.0, 2.0, 3.0], 0), "period must be >= 1"),
+    "observation-window": (lambda: build_observations(returns_of([0.1, 0.2]), None, 0),
+                           "window length n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_a_value_error_with_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestDailyReturns:

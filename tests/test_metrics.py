@@ -49,15 +49,19 @@ def trade_with_profit(profit, days=1.0):
 
 
 def brute_force_drawdown(values):
-    """Independent oracle: scan every peak/trough index pair."""
-    worst = 0.0
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dd = (values[i] - values[j]) / values[i]
-            if dd > worst:
-                worst = dd
-    return worst
+    """Independent oracle: scan every peak/trough index pair, one peak's troughs at a time."""
+    v = np.asarray(values, dtype=float)
+    return max([0.0, *(float(((v[i] - v[i + 1:]) / v[i]).max()) for i in range(len(v) - 1))])
+
+
+def sequential_cumulative_return(returns):
+    """Reference: the running product of 1 + r, one factor at a time."""
+    total = 1.0
+    for r in returns:
+        if r <= -1.0:
+            raise ValueError(f"return {r} is <= -1")
+        total *= 1.0 + r
+    return total - 1.0
 
 
 class TestEquityCurve:
@@ -81,6 +85,34 @@ class TestEquityCurve:
         curve = curve_of([100.0, 110.0, 99.0])
         assert curve.roi() == pytest.approx(-0.01, rel=1e-12)
         assert curve.daily_returns() == pytest.approx([0.10, -0.10], rel=1e-12)
+
+
+D1, D2 = date(2020, 1, 1), date(2020, 1, 2)
+
+# id -> (call, message) of each refusal of a fill, a trade or a matching setting
+REFUSALS = {
+    "fill-side": (lambda: Fill(D1, "hold", 1, 10.0), "side must be 'buy' or 'sell', got 'hold'"),
+    "fill-price": (lambda: Fill(D1, "buy", 1, 0.0), "fill price must be positive"),
+    "fill-price-nan": (lambda: Fill(D1, "buy", 1, math.nan), "fill price must be positive"),
+    "fill-cost": (lambda: Fill(D1, "buy", 1, 10.0, cost=-0.5), "fill cost must be non-negative"),
+    "trade-exit-before-entry": (lambda: trade_with_profit(1.0, days=-1), "exit date before entry date"),
+    "trade-date-off-calendar": (
+        lambda: match_trades([Fill(D1, "buy", 1, 10.0), Fill(D2, "sell", 1, 11.0)],
+                             day_count="trading", trading_dates=(D1,)),
+        "trade date 2020-01-02 missing from trading calendar"),
+    "unknown-day-count": (lambda: match_trades([], day_count="business"),
+                          "unknown day_count 'business'"),
+    "final-price-without-date": (lambda: match_trades([Fill(D1, "buy", 1, 10.0)], final_price=11.0),
+                                 "final_price given without final_date"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_a_value_error_with_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 class TestCumulativeReturn:
@@ -109,6 +141,24 @@ class TestCumulativeReturn:
             assert cumulative_return(curve.daily_returns()) == pytest.approx(
                 curve.roi(), rel=1e-10
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20_000),
+           scale=st.sampled_from([1e-3, 0.05, 0.5]), ruin=st.none() | st.floats(-1e3, -1.0))
+    def test_is_the_sequential_product_bit_for_bit(self, seed, n, scale, ruin):
+        rng = np.random.default_rng(seed)
+        returns = np.maximum(rng.normal(0.0, scale, size=n), -0.999).tolist()
+        if ruin is not None and n:
+            returns[int(rng.integers(n))] = ruin  # refused, naming the return
+        try:
+            want = sequential_cumulative_return(returns)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                cumulative_return(returns)
+            assert str(info.value) == str(exc)
+        else:
+            got = cumulative_return(returns)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestSharpe:
@@ -152,8 +202,8 @@ class TestMaxDrawdown:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            n = int(rng.integers(1, 60))
+        lengths = [*rng.integers(1, 60, size=100), 1_000, 5_000, 20_000]
+        for n in lengths:
             values = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.05, size=n)))
             curve = curve_of(values)
             assert max_drawdown(curve) == brute_force_drawdown(values.tolist())

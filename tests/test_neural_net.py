@@ -137,6 +137,26 @@ class TestForward:
             forward(net, np.ones(5))
 
 
+# id -> (call, message) of each refusal of a mask, a target or a learning rate
+REFUSALS = {
+    "mask-shape": (lambda: mse_loss(np.ones((1, 2)), np.ones((1, 2)), np.ones((1, 3), dtype=bool)),
+                   "mask shape (1, 3) does not match (1, 2)"),
+    "target-shape": (lambda: backward(init_mlp((2, 3), seed=0), np.ones((1, 2)), np.ones((1, 2))),
+                     "target shape does not match batch and output size"),
+    "negative-learning-rate": (
+        lambda: sgd_step(init_mlp((2, 2), seed=0), GradientSet([np.zeros((2, 2))], [np.zeros(2)]), -0.1),
+        "learning rate must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_a_value_error_with_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestMseLoss:
     def test_identical_is_zero(self):
         assert mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
@@ -211,7 +231,7 @@ class TestParameterBlock:
         for net in nets:
             for b in net.biases:
                 b[:] = rng.normal(size=b.shape)
-        block = _ParameterBlock(nets)
+        block = _ParameterBlock(nets, batch)
         x = rng.normal(size=(2, batch, sizes[0]))
         activations = _forward_full(block.stacked, x)
         for row, net in enumerate(nets):
@@ -222,7 +242,7 @@ class TestParameterBlock:
 
     def test_views_share_the_block(self):
         nets = [init_mlp((3, 4, 2), seed=s) for s in (0, 1)]
-        block = _ParameterBlock(nets)
+        block = _ParameterBlock(nets, 1)
         block.params[1] = block.params[0]
         for got, want in zip((*block.nets[1].weights, *block.nets[1].biases),
                              (*nets[0].weights, *nets[0].biases)):

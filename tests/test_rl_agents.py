@@ -11,7 +11,7 @@ from quantrl.market_data import generate_synthetic
 from quantrl.metrics import Fill, match_trades
 
 from quantrl.neural_net import (
-    Mlp, _ParameterBlock, _Workspace, backward, clone_parameters, forward, init_mlp, sgd_step,
+    Mlp, _ParameterBlock, backward, clone_parameters, forward, init_mlp, sgd_step,
 )
 from quantrl.rl_agents import (
     Discretizer,
@@ -518,6 +518,27 @@ class TestReplayBuffer:
         assert str(info.value) == f"{action!r} is not a valid Action"
 
 
+# id -> (call, message) of each refusal of a transition, cut points or a baseline's cash
+REFUSALS = {
+    "transition-shapes": (lambda: Transition(np.zeros(2), 0, 0.0, np.zeros(3), False),
+                          "state and next_state must have identical shape"),
+    "empty-feature-cuts": (lambda: Discretizer(((-0.5, 0.5), ())),
+                           "each feature needs at least one cut point"),
+    "buy-and-hold-cash": (lambda: baseline_buy_and_hold(make_series([100.0, 101.0]), 0.0),
+                          "initial cash must be positive"),
+    "crossover-cash": (lambda: baseline_sma_crossover(make_series([50.0] * 30), 3, 8, -1.0),
+                       "initial cash must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_refusal_is_a_value_error_with_its_message(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 class TestBellmanTargets:
     def constant_net(self, outputs):
         # zero weights, bias = outputs: the net emits `outputs` for any input
@@ -637,28 +658,28 @@ class TestDqnUpdate:
         unselected = scale * rng.normal(size=(batch, 3))  # entries the mask must not count
         expected_loss, expected = masked_backward(net, target, transitions, 0.95, unselected)
 
-        block = _ParameterBlock((net, target))
-        loss = _dqn_step(block, _Workspace(block, batch), *_stack(transitions), 0.95, 0.01)
+        block = _ParameterBlock((net, target), batch)
+        loss = _dqn_step(block, *_stack(transitions), 0.95, 0.01)
         assert np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
         for got, want in zip((*block.grads.weights, *block.grads.biases),
                              (*expected.weights, *expected.biases)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_step_reads_nothing_an_earlier_step_left_in_its_workspace(self):
-        # every workspace array poisoned first: a step must write each before reading it
+        # every array the block holds for a step poisoned first, the flat gradient
+        # included: a step must write each before reading it
         rng = np.random.default_rng(5)
         layers = (3, 6, 5, 3)
         net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
         batch = _stack(random_transitions(rng, 3, 8, 1.0))
         results = []
         for poisoned in (False, True):
-            block = _ParameterBlock((net, target))
-            work = _Workspace(block, 8)
+            block = _ParameterBlock((net, target), 8)
             if poisoned:
-                for a in (*work.activations, *work.deltas, *work.masks,
-                          work.targets, work.residual, work.step):
+                for a in (*block.activations, *block.deltas, *block.masks,
+                          block.targets, block.residual, block.step, block.grad):
                     a.fill(True if a.dtype == bool else np.nan)
-            loss = _dqn_step(block, work, *batch, 0.95, 0.01)
+            loss = _dqn_step(block, *batch, 0.95, 0.01)
             results.append((np.float64(loss).tobytes(), block.params.tobytes(), block.grad.tobytes()))
         assert results[0] == results[1]
 
@@ -869,7 +890,7 @@ class TestTrainDqn:
         self.check_public_replay_reference(hidden, batch_size, eps_end)
 
     # 39 pushes wrap a ring of at most 19 slots at least twice, so slots are
-    # rewritten, often with another action; training reuses one workspace
+    # rewritten, often with another action; training reuses one parameter block
     # for every update, the reference builds a new one per update
     @settings(max_examples=200, deadline=None)
     @given(
