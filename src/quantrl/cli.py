@@ -126,24 +126,11 @@ def cmd_train(args: argparse.Namespace, extras: Sequence[str]) -> int:
     return 0
 
 
-def _load_artifact(cfg: ExperimentConfig, checkpoint: str | None):
-    if cfg.agent not in LEARNING_AGENTS:
-        if checkpoint is not None:
-            raise ExperimentError(
-                "evaluate", f"agent kind {cfg.agent!r} loads no artifact; got --checkpoint {checkpoint}"
-            )
-        return None
-    if checkpoint is None:
-        raise ExperimentError(
-            "evaluate", f"agent kind {cfg.agent!r} needs --checkpoint with a trained artifact"
-        )
-    with stage("evaluate"):
-        return load_artifact(cfg, checkpoint)
-
-
 def cmd_evaluate(args: argparse.Namespace, extras: Sequence[str]) -> int:
     cfg = _load_config(args, extras)
-    return _report(cfg, _load_artifact(cfg, args.checkpoint), args.out)
+    with stage("evaluate"):
+        artifact = load_artifact(cfg, args.checkpoint)
+    return _report(cfg, artifact, args.out)
 
 
 def cmd_run(args: argparse.Namespace, extras: Sequence[str]) -> int:

@@ -469,11 +469,9 @@ def build_window(
     return MarketWindow(dates, prices, observations)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreparedData:
     bars: BarSeries
-    train_bars: BarSeries
-    test_bars: BarSeries
     train_window: MarketWindow
     test_window: MarketWindow
 
@@ -494,7 +492,7 @@ def prepare_data(cfg: ExperimentConfig, bars: BarSeries) -> PreparedData:
     test_bars = _slice_window(bars, "test", cfg.test_start, cfg.test_end)
     context = train_bars.tail(_context_length(cfg))
     test_window = build_window(test_bars, normalizer, cfg, context=context)
-    return PreparedData(bars, train_bars, test_bars, train_window, test_window)
+    return PreparedData(bars, train_window, test_window)
 
 
 def make_env(cfg: ExperimentConfig, window: MarketWindow) -> TradingEnv:
@@ -642,14 +640,21 @@ def run_experiment(
     cfg: ExperimentConfig,
     artifact: Mlp | QTable | None = None,
 ) -> Report:
-    """Full pipeline: ingest, train, evaluate agent plus benchmark, assemble.
-
-    Passing a pre-trained `artifact` skips the training stage (used by the
-    evaluate subcommand). Errors carry their pipeline stage.
-    """
+    """Full pipeline: the ingest stage, then run_prepared's. Errors carry their stage."""
     with stage("ingest"):
         prepared = prepare_data(cfg, load_bars(cfg))
+    return run_prepared(cfg, prepared, artifact)
 
+
+def run_prepared(
+    cfg: ExperimentConfig, prepared: PreparedData, artifact: Mlp | QTable | None = None
+) -> Report:
+    """Train, evaluate the agent plus benchmark on `prepared`, assemble.
+
+    Passing a pre-trained `artifact` skips the training stage (used by the
+    evaluate subcommand). `prepared` is only read, so one value serves any
+    number of runs, e.g. one per seed.
+    """
     history: list[HistoryRow] = []
     if artifact is None:
         with stage("train"):
@@ -755,13 +760,20 @@ def load_report_metrics(
     return test_span, tests
 
 
-def load_artifact(cfg: ExperimentConfig, path: str | Path) -> Mlp | QTable:
+def load_artifact(cfg: ExperimentConfig, path: str | Path | None) -> Mlp | QTable | None:
     """Read the trained artifact of cfg's learning agent, as emit_training wrote it.
 
-    The config_echo.json emit_training wrote beside it, if there is one, must
+    A learning agent needs a path; a baseline takes none and gets None. The
+    config_echo.json emit_training wrote beside it, if there is one, must
     agree with cfg on the agent, on every TRAINING_KEYS key and on the key that
     shapes this learner's artifact; an artifact alone is not checked.
     """
+    if cfg.agent not in LEARNING_AGENTS:
+        if path is not None:
+            raise ValueError(f"agent kind {cfg.agent!r} loads no artifact; got --checkpoint {path}")
+        return None
+    if path is None:
+        raise ValueError(f"agent kind {cfg.agent!r} needs --checkpoint with a trained artifact")
     _check_config_echo(cfg, Path(path).parent / "config_echo.json")
     return _ARTIFACTS[cfg.agent][2](path)
 

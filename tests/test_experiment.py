@@ -1,14 +1,15 @@
 import json
 import math
 import re
+import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quantrl.cli import _build_parser, main
 from quantrl.experiment import (
@@ -23,6 +24,7 @@ from quantrl.experiment import (
     config_from_dict,
     config_to_dict,
     emit_report,
+    emit_training,
     greedy_policy,
     load_bars,
     load_report_metrics,
@@ -34,11 +36,12 @@ from quantrl.experiment import (
     read_json,
     run_experiment,
     run_policy,
+    run_prepared,
     split_train_test,
     stage,
     train_agent,
 )
-from quantrl.market_data import SyntheticSpec, generate_synthetic, write_csv
+from quantrl.market_data import BarSeries, SyntheticSpec, generate_synthetic, write_csv
 from quantrl.metrics import Fill, decode_metric
 from quantrl.neural_net import _row_forward, forward, init_mlp
 from quantrl.rl_agents import (
@@ -58,6 +61,12 @@ from conftest import make_series
 def synthetic_dates(kind="sinusoid", length=260, **params):
     bars = generate_synthetic(kind, length=length, **params)
     return bars.dates()
+
+
+def emitted(write, *args):
+    """Each file `write(*args, out_dir)` writes (emit_report, emit_training), name -> bytes."""
+    with tempfile.TemporaryDirectory() as out:
+        return {path.name: path.read_bytes() for path in write(*args, out)}
 
 
 def sinusoid_config(agent="buy_and_hold", length=120, train_days=80, **extra):
@@ -540,21 +549,24 @@ class TestPreparedWindows:
         bars = load_bars(cfg)
         prepared = prepare_data(cfg, bars)
         # first tradable train day is bar index `window` (10 returns needed)
-        assert prepared.train_window.dates[0] == prepared.train_bars.dates()[cfg.window]
+        train_dates = prepared.bars.slice_dates(cfg.train_start, cfg.train_end).dates()
+        assert prepared.train_window.dates[0] == train_dates[cfg.window]
         assert len(prepared.train_window) == 80 - cfg.window
         assert prepared.train_window.obs_dim == cfg.window
 
     def test_test_window_covers_all_test_days(self):
         cfg = sinusoid_config(agent="dqn")
         prepared = prepare_data(cfg, load_bars(cfg))
-        assert prepared.test_window.dates == prepared.test_bars.dates()
+        test_bars = prepared.bars.slice_dates(cfg.test_start, cfg.test_end)
+        assert prepared.test_window.dates == test_bars.dates()
         assert len(prepared.test_window) == 40
 
     def test_indicator_columns_extend_observations(self):
         cfg = sinusoid_config(agent="dqn", use_indicators=True, sma_period=12, rsi_period=12)
         prepared = prepare_data(cfg, load_bars(cfg))
         assert prepared.train_window.obs_dim == cfg.window + 2
-        assert prepared.test_window.dates == prepared.test_bars.dates()
+        test_bars = prepared.bars.slice_dates(cfg.test_start, cfg.test_end)
+        assert prepared.test_window.dates == test_bars.dates()
         # RSI column is scaled into [0, 1]
         rsi_column = prepared.train_window.observations[:, -1]
         assert np.all((rsi_column >= 0.0) & (rsi_column <= 1.0))
@@ -642,34 +654,64 @@ class TestRunExperiment:
                     raise ValueError("disk full")
         assert str(caught.value) == "[report] disk full" and caught.value.stage == "report"
 
-    def test_no_test_leakage(self, tmp_path):
-        dates = synthetic_dates(kind="gbm", length=120, seed=3, volatility=0.25, drift=0.05)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        agent=st.sampled_from(["qtable", "dqn"]),
+        train_days=st.integers(30, 90),
+        test_days=st.integers(2, 30),
+        replacement=st.fixed_dictionaries({
+            "seed": st.integers(0, 2**32 - 1),
+            "volatility": _floats(0.0, 1.0),
+            "drift": _floats(-0.5, 0.5),
+        }),
+    )
+    @example(agent="dqn", train_days=80, test_days=40,
+             replacement={"seed": 4, "volatility": 0.25, "drift": 0.05})
+    def test_no_test_leakage(self, agent, train_days, test_days, replacement):
+        # Bars after train_end never reach training, and bars after test_end
+        # never reach the report: replacing them by another series' bars on
+        # the same dates changes no byte.
         bars = generate_synthetic("gbm", length=120, seed=3, volatility=0.25, drift=0.05)
-        full_csv = tmp_path / "full.csv"
-        train_csv = tmp_path / "train_only.csv"
-        write_csv(bars, full_csv)
-        train_bars = bars.slice_dates(dates[0], dates[79])
-        write_csv(train_bars, train_csv)
-        base = {
-            "agent": "dqn",
+        other = generate_synthetic("gbm", length=len(bars), **replacement)
+        dates = bars.dates()
+        cfg = config_from_dict({
+            "data": {"csv": "unread.csv"},
+            "agent": agent,
             "train_start": dates[0].isoformat(),
-            "train_end": dates[79].isoformat(),
-            "test_start": dates[80].isoformat(),
-            "test_end": dates[-1].isoformat(),
+            "train_end": dates[train_days - 1].isoformat(),
+            "test_start": dates[train_days].isoformat(),
+            "test_end": dates[min(train_days + test_days, len(bars)) - 1].isoformat(),
             "episodes": 3,
             "symbol": "GBM",
-        }
-        nets = []
-        for csv_path in (full_csv, train_csv):
-            cfg = config_from_dict({**base, "data": {"csv": str(csv_path)}})
-            loaded = load_bars(cfg)
-            _, _, train_window = prepare_train(cfg, loaded)
-            net, _ = train_agent(cfg, train_window)
-            nets.append(net)
-        assert all(
-            np.array_equal(a, b) for a, b in zip(nets[0].weights, nets[1].weights)
+        })
+
+        def replaced_after(day):
+            cut = dates.index(day) + 1
+            return BarSeries(bars.symbol, [*bars.bars[:cut], *other.bars[cut:]])
+
+        report = run_prepared(cfg, prepare_data(cfg, bars))
+        artifact, history = train_agent(
+            cfg, prepare_data(cfg, replaced_after(cfg.train_end)).train_window
         )
-        assert all(np.array_equal(a, b) for a, b in zip(nets[0].biases, nets[1].biases))
+        assert emitted(emit_training, cfg, history, artifact) == emitted(
+            emit_training, cfg, report.history, report.artifact
+        )
+        unseen_tail = run_prepared(cfg, prepare_data(cfg, replaced_after(cfg.test_end)))
+        assert emitted(emit_report, unseen_tail) == emitted(emit_report, report)
+
+    @pytest.mark.parametrize("agent", ["qtable", "dqn", "sma_crossover"])
+    def test_one_prepared_value_serves_many_runs(self, agent):
+        cfg = sinusoid_config(agent=agent, episodes=3, fast_period=3, slow_period=9)
+        prepared = prepare_data(cfg, load_bars(cfg))
+        windows = (prepared.train_window, prepared.test_window)
+        arrays = [array for w in windows for array in (w.prices, w.observations)]
+        before = [array.tobytes() for array in arrays]
+        for seed in (1, 2, 1):
+            seeded = replace(cfg, seed=seed)
+            assert emitted(emit_report, run_prepared(seeded, prepared)) == emitted(
+                emit_report, run_experiment(seeded)
+            )
+        assert [array.tobytes() for array in arrays] == before
 
 
 class TestTrainAgent:
@@ -996,6 +1038,37 @@ class TestCli:
         )
         assert code == 0
         assert json.loads((out / "config_echo.json").read_text())["seed"] == 7
+
+    @pytest.mark.parametrize("agent, artifact", [("qtable", "qtable.csv"),
+                                                 ("dqn", "checkpoint_dqn.txt")])
+    def test_train_needs_no_test_window_bars(self, tmp_path, capsys, agent, artifact):
+        # train reads the bars through train_end only (prepare_train), so a CSV
+        # cut there trains the same bytes; run needs the test window as well
+        full, cut = tmp_path / "sine.csv", tmp_path / "sine_train.csv"
+        self.run_cli(capsys, "synth", "--kind", "sinusoid", "--length", "260", "--out", str(full))
+        header, *rows = full.read_text().splitlines(keepends=True)
+        cut.write_text("".join([header, *(row for row in rows if row[:10] <= "2020-10-09")]))
+        config = tmp_path / "sine.json"
+        config.write_text(json.dumps({
+            "data": {"csv": str(full)},
+            "agent": agent,
+            "train_start": "2020-01-06", "train_end": "2020-10-09",
+            "test_start": "2020-10-12", "test_end": "2021-01-01",
+            "episodes": 3,
+        }))
+        cut_data = f"--data={json.dumps({'csv': str(cut)})}"
+        for out, extra in (("full", []), ("cut", [cut_data])):
+            code, _, _ = self.run_cli(
+                capsys, "train", "--config", str(config), "--out", str(tmp_path / out), *extra
+            )
+            assert code == 0
+        for name in ("history.csv", artifact):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        code, _, err = self.run_cli(
+            capsys, "run", "--config", str(config), "--out", str(tmp_path / "run"), cut_data
+        )
+        assert code == 1
+        assert err == "error: [ingest] test window 2020-10-12..2021-01-01 holds 0 bars, need >= 2\n"
 
     def test_bad_config_is_tagged(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
