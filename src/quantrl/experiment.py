@@ -474,6 +474,8 @@ class PreparedData:
     bars: BarSeries
     train_window: MarketWindow
     test_window: MarketWindow
+    # (key, value) of each config key that shaped the windows, as prepare_data read it.
+    built_with: tuple[tuple[str, Any], ...]
 
 
 def prepare_train(cfg: ExperimentConfig, bars: BarSeries) -> tuple[BarSeries, Normalizer, MarketWindow]:
@@ -492,7 +494,8 @@ def prepare_data(cfg: ExperimentConfig, bars: BarSeries) -> PreparedData:
     test_bars = _slice_window(bars, "test", cfg.test_start, cfg.test_end)
     context = train_bars.tail(_context_length(cfg))
     test_window = build_window(test_bars, normalizer, cfg, context=context)
-    return PreparedData(bars, train_window, test_window)
+    built_with = tuple((key, getattr(cfg, key)) for key in (*TRAINING_KEYS, "test_start", "test_end"))
+    return PreparedData(bars, train_window, test_window, built_with)
 
 
 def make_env(cfg: ExperimentConfig, window: MarketWindow) -> TradingEnv:
@@ -653,8 +656,12 @@ def run_prepared(
 
     Passing a pre-trained `artifact` skips the training stage (used by the
     evaluate subcommand). `prepared` is only read, so one value serves any
-    number of runs, e.g. one per seed.
+    number of runs, e.g. one per seed, of configs that agree with the one it
+    was built with on every key that shaped it; any other is a ValueError.
     """
+    for key, value in prepared.built_with:
+        if getattr(cfg, key) != value:
+            raise ValueError(f"prepared data was built with {key} {value}, not {getattr(cfg, key)}")
     history: list[HistoryRow] = []
     if artifact is None:
         with stage("train"):

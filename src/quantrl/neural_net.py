@@ -80,7 +80,7 @@ class _ParameterBlock:
     """Networks of one layout as the rows of one (rows, n_params) block, with one update's arrays.
 
     `stacked` views every row at once: weights (rows, fan_in, fan_out) and
-    biases (rows, 1, fan_out), so `_forward_full(block.stacked, x)` over a
+    biases (rows, 1, fan_out), so `_forward(block.stacked, x)` over a
     (rows, batch, width) input runs row r's network on x[r]. numpy computes
     each slice of a stacked product as the 2-D product alone, so row r's
     result has the bits of `forward(nets[r], x[r])` (a property test checks
@@ -90,32 +90,48 @@ class _ParameterBlock:
     The other arrays are what an SGD step of row 0 on `batch` inputs writes,
     reused: `activations[i]` is layer i's (rows, batch, width) output,
     `online` its row 0; `deltas[i]` and `masks[i]` are that layer's error
-    and ReLU mask. A DQN update of row 0 with two hidden layers makes 32
-    numpy calls into them and allocates no array.
+    and ReLU mask. The operands of row 0's backprop are bound here too, so a
+    DQN update of row 0 with two hidden layers makes 32 numpy calls into
+    these arrays and allocates no array.
     """
 
     def __init__(self, nets: Sequence[Mlp], batch: int) -> None:
         sizes = nets[0].layer_sizes
         self.params = np.empty((len(nets), _parameter_count(sizes)))
+        self.row = self.params[0]
         self.stacked = _views(sizes, self.params)
         self.nets = [_views(sizes, row) for row in self.params]
         for view, net in zip(self.nets, nets):
             _copy_parameters(net, view)
         self.grad = np.empty(self.params.shape[1])
-        self.grads = _gradient_views(sizes, self.grad)
+        views = _views(sizes, self.grad)
+        self.grads = GradientSet(views.weights, views.biases)
         self.activations = [np.empty((len(nets), batch, n)) for n in sizes[1:]]
         self.online = [a[0] for a in self.activations]
+        self.q_next = self.activations[-1][-1]  # the last row's outputs: a DQN's target net
         self.targets = np.empty(batch)
+        self.column = self.targets[:, None]
         self.residual = np.empty((batch, sizes[-1]))
         self.deltas = [np.empty((batch, n)) for n in sizes[1:]]
         self.masks = [np.empty((batch, n), dtype=bool) for n in sizes[1:-1]]
         self.step = np.empty_like(self.grad)
+        # Row 0's backprop operands, transposed, and its products: a weight
+        # gradient sums `batch` terms, a passed-back error the layer's width.
+        self.hidden_t = [a.T for a in self.online[:-1]]
+        self.weights_t = [w.T for w in self.nets[0].weights]
+        self.gradient_product = _product(batch)
+        self.delta_products = [_product(n) for n in sizes[1:]]
 
 
-def _gradient_views(sizes: tuple[int, ...], flat: np.ndarray | None = None) -> GradientSet:
-    """A GradientSet viewing `flat` (a new buffer, if None) in the parameter layout."""
-    views = _views(sizes, np.empty(_parameter_count(sizes)) if flat is None else flat)
-    return GradientSet(views.weights, views.biases)
+def _product(terms: int):
+    """np.dot for a 2-D or vector-matrix product whose sums have `terms` > 1 terms, else np.matmul.
+
+    On contiguous operands and their transposes both then make one BLAS call,
+    and np.dot skips matmul's gufunc dispatch (a property test checks the
+    bytes). With one term matmul adds each product to +0.0 where np.dot may
+    keep -0.0 or skip 0 * inf, and np.dot copies other views matmul reads.
+    """
+    return np.dot if terms > 1 else np.matmul
 
 
 def _copy_parameters(source: Mlp, dest: Mlp) -> Mlp:
@@ -127,22 +143,26 @@ def _copy_parameters(source: Mlp, dest: Mlp) -> Mlp:
     return dest
 
 
-def _forward_full(net: Mlp, inputs: np.ndarray, out=None) -> list[np.ndarray]:
-    """Return the activations per layer, the inputs first (batch input).
+# A 0-d zero: ufuncs take it as it is, where a Python 0.0 is converted per call.
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
 
-    `net` may be a _ParameterBlock's stacked view, with inputs stacked likewise.
+
+def _forward(net: Mlp, inputs: np.ndarray, out=None) -> np.ndarray:
+    """The network's output on one vector, a batch of rows or, for a stacked view, a stack of batches.
+
     Layer i's output goes to `out[i]` if given, else to a new array. ReLU is
     taken in place: backprop reads `a > 0`, true exactly where `z > 0` is.
     """
-    activations = [inputs]
+    a = inputs
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        a = np.matmul(activations[i], w, out=None if out is None else out[i])
+        product = _product(len(w)) if a.ndim == 1 else np.matmul
+        a = product(a, w, out=None if out is None else out[i])
         np.add(a, b, out=a)
         if i < last:
-            np.maximum(a, 0.0, out=a)
-        activations.append(a)
-    return activations
+            np.maximum(a, _ZERO, out=a)
+    return a
 
 
 def _check_width(net: Mlp, x: np.ndarray) -> None:
@@ -156,9 +176,11 @@ def _check_width(net: Mlp, x: np.ndarray) -> None:
 def forward(net: Mlp, inputs: np.ndarray) -> np.ndarray:
     """Evaluate the network on one vector or a batch of row vectors."""
     x = np.asarray(inputs, dtype=float)
+    if x.ndim == 1 and x.flags.c_contiguous and len(x) == net.layer_sizes[0]:
+        return _forward(net, x)  # np.dot's operands: see _product
     batch = _as_batch(x)
     _check_width(net, batch)
-    out = _forward_full(net, batch)[-1]
+    out = _forward(net, batch)
     return out[0] if x.ndim == 1 else out
 
 
@@ -179,7 +201,7 @@ def _row_forward(net: Mlp, inputs: np.ndarray) -> np.ndarray:
     out = np.empty((len(x), net.layer_sizes[-1]))
     for start in range(0, len(x), _ROW_BLOCK):
         rows = x[start : start + _ROW_BLOCK, None, :]
-        out[start : start + _ROW_BLOCK] = _forward_full(net, rows)[-1][:, 0]
+        out[start : start + _ROW_BLOCK] = _forward(net, rows)[:, 0]
     return out
 
 
@@ -226,38 +248,33 @@ def backward(
     if tgt.shape != (x.shape[0], net.layer_sizes[-1]):
         raise ValueError("target shape does not match batch and output size")
     selected, count = _selection(mask, tgt.shape)
-    activations = _forward_full(net, x)
-    residual = np.where(selected, activations[-1] - tgt, 0.0)
-    return _backprop(net, activations, residual, count)
+    block = _ParameterBlock((net,), len(x))
+    if not x.flags.c_contiguous:  # np.dot's operands: see _product
+        block.gradient_product = np.matmul
+    residual = np.where(selected, _forward(block.nets[0], x, block.online) - tgt, 0.0)
+    return _backprop(block, x, residual, count), block.grads
 
 
-def _backprop(
-    net: Mlp,
-    activations: list[np.ndarray],
-    residual: np.ndarray,
-    count: int,
-    block: _ParameterBlock | None = None,
-) -> tuple[float, GradientSet]:
-    """Loss of sum(residual**2) / count, given a forward pass, and its gradients.
+def _backprop(block: _ParameterBlock, inputs: np.ndarray, residual: np.ndarray, count: int) -> float:
+    """Loss of sum(residual**2) / count for block row 0, given its forward pass on `inputs`.
 
-    The gradients and each layer's error and ReLU mask go to `block`'s
-    buffers if given, else to new arrays.
+    The forward pass is in `block.online`. The gradients go to `block.grads`,
+    each layer's error and ReLU mask to `block.deltas` and `block.masks`.
     """
-    layers = len(net.weights)
-    out = block.grads if block else _gradient_views(net.layer_sizes)
-    deltas, masks = (block.deltas, block.masks) if block else ([None] * layers,) * 2
+    deltas, grads = block.deltas, block.grads
+    transposed = (inputs.T, *block.hidden_t)
     squares = np.multiply(residual, residual, out=deltas[-1])
     loss = float(np.add.reduce(squares, axis=None)) / count
-    delta = np.multiply(2.0, residual, out=deltas[-1])
+    delta = np.add(residual, residual, out=deltas[-1])  # 2 * residual, exactly
     np.divide(delta, count, out=delta)
-    for layer in range(layers - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=out.weights[layer])
-        np.add.reduce(delta, axis=0, out=out.biases[layer])
+    for layer in range(len(deltas) - 1, -1, -1):
+        block.gradient_product(transposed[layer], delta, out=grads.weights[layer])
+        np.add.reduce(delta, axis=0, out=grads.biases[layer])
         if layer > 0:
-            active = np.greater(activations[layer], 0.0, out=masks[layer - 1])
-            delta = np.matmul(delta, net.weights[layer].T, out=deltas[layer - 1])
+            active = np.greater(block.online[layer - 1], _ZERO, out=block.masks[layer - 1])
+            delta = block.delta_products[layer](delta, block.weights_t[layer], out=deltas[layer - 1])
             np.multiply(delta, active, out=delta)
-    return loss, out
+    return loss
 
 
 def sgd_step(net: Mlp, grads: GradientSet, lr: float) -> Mlp:

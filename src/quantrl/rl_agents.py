@@ -23,9 +23,10 @@ from .metrics import EquityCurve, Fill
 from .neural_net import (
     Mlp,
     _ParameterBlock,
+    _ZERO,
     _backprop,
     _copy_parameters,
-    _forward_full,
+    _forward,
     forward,
 )
 from .trading_env import Action, CostModel, Portfolio, ZERO_COST, _trade
@@ -445,7 +446,7 @@ def bellman_targets(
 def _targets(rewards, q_next: np.ndarray, terminal, gamma: float, out=None) -> np.ndarray:
     """The Bellman targets, given the target network's values at each next state; into `out`."""
     best = np.maximum.reduce(q_next, axis=1, out=out)
-    np.copyto(best, 0.0, where=terminal)
+    np.copyto(best, _ZERO, where=terminal)
     return np.add(rewards, np.multiply(gamma, best, out=best), out=best)
 
 
@@ -540,15 +541,15 @@ def _dqn_step(
     target net's at the next states; `taken` is each row's one-hot action
     mask. Every intermediate goes to the block's buffers; the SGD step updates
     row 0 in place. With two hidden layers that is 32 numpy calls (8 forward,
-    4 targets, 2 residual, 16 backprop, 2 SGD).
+    4 targets, 2 residual, 16 backprop, 2 SGD). gamma and lr may be 0-d arrays.
     """
-    activations = _forward_full(block.stacked, state_pairs, block.activations)
-    q, q_next = activations[-1]
-    targets = _targets(rewards, q_next, terminal, gamma, block.targets)
-    block.residual.fill(0.0)  # where=taken leaves the other entries as they are
-    residual = np.subtract(q, targets[:, None], out=block.residual, where=taken)
-    loss, _ = _backprop(block.nets[0], [state_pairs[0], *block.online], residual, len(taken), block)
-    np.subtract(block.params[0], np.multiply(lr, block.grad, out=block.step), out=block.params[0])
+    _forward(block.stacked, state_pairs, block.activations)
+    _targets(rewards, block.q_next, terminal, gamma, block.targets)
+    residual = block.residual
+    residual.fill(0.0)  # where=taken leaves the other entries as they are
+    np.subtract(block.online[-1], block.column, out=residual, where=taken)
+    loss = _backprop(block, state_pairs[0], residual, len(taken))
+    np.subtract(block.row, np.multiply(lr, block.grad, out=block.step), out=block.row)
     return loss
 
 
@@ -584,22 +585,25 @@ def train_dqn(
     block = _ParameterBlock((net, net), cfg.batch_size)
     online, params = block.nets[0], block.params
     replay = _ReplayArrays(cfg.buffer_capacity, net.layer_sizes[0])
+    # Bound once for the step loop; gamma and alpha as 0-d arrays, as _ZERO is.
+    push, sample, env_step, epsilon = replay.push, replay.sample, env.step, schedule.value
+    batch_size, sync = cfg.batch_size, cfg.target_sync_period
+    gamma, alpha = np.array(cfg.gamma), np.array(cfg.alpha)
     history: list[HistoryRow] = []
     step = 0
     for episode in range(cfg.episodes):
         state, obs = env.reset()
-        episode_eps = schedule.value(step)
+        episode_eps = epsilon(step)
         losses: list[float] = []
         done = False
         while not done:
-            action = _explore(schedule.value(step), rng)
+            action = _explore(epsilon(step), rng)
             if action is None:
                 action = _ACTIONS[forward(online, obs).argmax()]
-            state, next_obs, reward, done = env.step(state, action)
-            replay.push(obs, int(action), reward, next_obs, done)
-            if replay.size >= cfg.batch_size:
-                batch = replay.sample(cfg.batch_size, rng)
-                loss = _dqn_step(block, *batch, cfg.gamma, cfg.alpha)
+            state, next_obs, reward, done = env_step(state, action)
+            push(obs, int(action), reward, next_obs, done)
+            if replay.size >= batch_size:
+                loss = _dqn_step(block, *sample(batch_size, rng), gamma, alpha)
                 if not math.isfinite(loss):
                     raise ValueError(
                         f"training diverged: loss {loss} at episode {episode}, step {step}"
@@ -607,7 +611,7 @@ def train_dqn(
                 losses.append(loss)
             obs = next_obs
             step += 1
-            if step % cfg.target_sync_period == 0:
+            if step % sync == 0:
                 params[1] = params[0]
         if not np.isfinite(params[0]).all():
             raise ValueError(

@@ -18,6 +18,7 @@ from quantrl.experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentError,
+    TRAINING_KEYS,
     build_window,
     compare_strategies,
     compare_test_metrics,
@@ -712,6 +713,21 @@ class TestRunExperiment:
                 emit_report, run_experiment(seeded)
             )
         assert [array.tobytes() for array in arrays] == before
+
+    def test_prepared_data_refuses_a_config_it_was_not_built_with(self):
+        # the report would label windows by the config, not by the data it ran on
+        cfg = sinusoid_config(agent="qtable", episodes=3)
+        prepared = prepare_data(cfg, load_bars(cfg))
+        moved = replace(cfg, train_start=date(2020, 2, 3), test_end=date(2020, 6, 1))
+        with pytest.raises(ValueError, match=(
+            f"^prepared data was built with train_start {cfg.train_start}, not 2020-02-03$"
+        )):
+            run_prepared(moved, prepared)
+        with pytest.raises(ValueError, match=f"built with test_end {cfg.test_end}, not 2020-06-01$"):
+            run_prepared(replace(cfg, test_end=date(2020, 6, 1)), prepared)
+        with pytest.raises(ValueError, match=f"built with window {cfg.window}, not {cfg.window + 1}$"):
+            run_prepared(replace(cfg, window=cfg.window + 1), prepared)
+        assert [key for key, _ in prepared.built_with] == [*TRAINING_KEYS, "test_start", "test_end"]
 
 
 class TestTrainAgent:

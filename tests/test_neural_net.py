@@ -6,7 +6,8 @@ from quantrl.neural_net import (
     GradientSet,
     Mlp,
     _ParameterBlock,
-    _forward_full,
+    _forward,
+    _product,
     backward,
     clone_parameters,
     forward,
@@ -233,11 +234,11 @@ class TestParameterBlock:
                 b[:] = rng.normal(size=b.shape)
         block = _ParameterBlock(nets, batch)
         x = rng.normal(size=(2, batch, sizes[0]))
-        activations = _forward_full(block.stacked, x)
+        outputs = _forward(block.stacked, x)
         for row, net in enumerate(nets):
             want = forward(net, x[row])
-            assert activations[-1][row].shape == want.shape
-            assert activations[-1][row].tobytes() == want.tobytes()
+            assert outputs[row].shape == want.shape
+            assert outputs[row].tobytes() == want.tobytes()
             assert forward(block.nets[row], x[row]).tobytes() == want.tobytes()
 
     def test_views_share_the_block(self):
@@ -251,6 +252,73 @@ class TestParameterBlock:
         assert np.array_equal(block.nets[0].weights[1], nets[0].weights[1] - 1.0)
         assert np.array_equal(block.stacked.biases[0][0, 0], nets[0].biases[0] - 1.0)
         assert nets[0].biases[0].tolist() == [0.0] * 4  # the source nets are copies
+
+
+def extreme_array(rng, shape, exponents, special):
+    """Normal draws times 10**e, e drawn per entry from `exponents` (inclusive), with a
+    share `special` of the entries replaced by +-0.0, +-inf or NaN."""
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(*exponents, size=shape, endpoint=True)
+    hit = rng.random(shape) < special
+    values[hit] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(hit.sum()))
+    return values
+
+
+class TestBlasProducts:
+    # The 2-D and vector products a block's update and a one-vector forward run,
+    # on the layouts they run on, against np.matmul: independent of the step and
+    # of backward, which both run them. np.dot is the product wherever a sum has
+    # two or more terms; with one term np.dot may keep a -0.0 product or skip
+    # 0 * inf, which matmul does not, so the product there is matmul.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        batch=st.integers(1, 64),
+        sizes=st.tuples(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40)),
+        low=st.integers(-300, 300),
+        spread=st.sampled_from([0, 2, 20, 600]),
+        special=st.sampled_from([0.0, 0.05, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_are_matmul_bit_for_bit(self, batch, sizes, low, spread, special, seed):
+        rng = np.random.default_rng(seed)
+        exponents = (low, min(300, low + spread))
+        block = _ParameterBlock([init_mlp(sizes, seed=rng)], batch)
+        net = block.nets[0]
+        for array in (*net.weights, block.online[0], block.deltas[1]):
+            array[...] = extreme_array(rng, array.shape, exponents, special)
+        x = extreme_array(rng, sizes[0], exponents, special)
+        hidden, delta = block.online[0], block.deltas[1]
+        with np.errstate(all="ignore"):
+            runs = [
+                (batch, block.gradient_product(block.hidden_t[0], delta, out=block.grads.weights[1]),
+                 np.matmul(hidden.T, delta)),
+                (sizes[2], block.delta_products[1](delta, block.weights_t[1], out=block.deltas[0]),
+                 np.matmul(delta, net.weights[1].T)),
+                (sizes[0], _product(sizes[0])(x, net.weights[0]), np.matmul(x, net.weights[0])),
+                (sizes[0], forward(net, x), forward(net, x[None])[0]),
+            ]
+        assert (block.gradient_product is np.dot) == (batch > 1)
+        assert [p is np.dot for p in block.delta_products] == [n > 1 for n in sizes[1:]]
+        for terms, got, want in runs:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f"{terms}-term sums differ"
+
+    def test_views_np_dot_would_copy_keep_matmul(self):
+        # np.dot copies a reversed vector and a batch of strided rows or a
+        # broadcast, where matmul reads them in place: forward and backward
+        # give them matmul's bytes
+        rng = np.random.default_rng(3)
+        net = init_mlp((8, 3), seed=1)
+        w, b = net.weights[0], net.biases[0]
+        b[:] = rng.normal(size=3)
+        wide = rng.normal(size=(40, 16))
+        for x in (wide[::2, ::2], wide[::2, :8], np.broadcast_to(wide[0, :8], (20, 8))):
+            targets = rng.normal(size=(len(x), 3))
+            delta = 2.0 * (np.matmul(x, w) + b - targets) / targets.size
+            assert backward(net, x, targets)[1].weights[0].tobytes() == np.matmul(x.T, delta).tobytes()
+        wide_net = init_mlp((8, 32), seed=2)
+        vector = wide[0, 7::-1]
+        want = np.matmul(vector[None], wide_net.weights[0]) + wide_net.biases[0]
+        assert forward(wide_net, vector).tobytes() == want[0].tobytes()
 
 
 class TestSgdStep:

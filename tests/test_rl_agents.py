@@ -592,6 +592,36 @@ def random_transitions(rng, width, batch, scale):
     ]
 
 
+def matmul_step(net, target, state_pairs, taken, rewards, terminal, gamma, lr):
+    """`_dqn_step` as it stood with np.matmul for every product, frozen: its loss, its
+    gradients and the online parameters it leaves, computed on copies."""
+    layers = len(net.weights)
+    weights = [np.stack(pair) for pair in zip(net.weights, target.weights)]
+    biases = [np.stack(pair)[:, None, :] for pair in zip(net.biases, target.biases)]
+    activations = [state_pairs]
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = np.add(np.matmul(activations[i], w), b)
+        activations.append(np.maximum(a, 0.0) if i < layers - 1 else a)
+    q, q_next = activations[-1]
+    best = np.maximum.reduce(q_next, axis=1)
+    best[terminal] = 0.0
+    targets = rewards + gamma * best
+    residual = np.where(taken, q - targets[:, None], 0.0)
+    count = len(taken)
+    loss = float(np.add.reduce(residual * residual, axis=None)) / count
+    delta = 2.0 * residual / count
+    grad_w, grad_b = [None] * layers, [None] * layers
+    for layer in range(layers - 1, -1, -1):
+        inputs = activations[layer][0]
+        grad_w[layer] = np.matmul(inputs.T, delta)
+        grad_b[layer] = np.add.reduce(delta, axis=0)
+        if layer > 0:
+            delta = np.matmul(delta, net.weights[layer].T) * (inputs > 0.0)
+    grads = [*grad_w, *grad_b]
+    params = [p - lr * g for p, g in zip((*net.weights, *net.biases), grads)]
+    return loss, grads, params
+
+
 DQN_STEP_CASES = dict(
     sizes=st.lists(st.integers(1, 40), min_size=1, max_size=3),
     batch=st.integers(1, 64),
@@ -664,6 +694,25 @@ class TestDqnUpdate:
         for got, want in zip((*block.grads.weights, *block.grads.biases),
                              (*expected.weights, *expected.biases)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**DQN_STEP_CASES)
+    def test_step_is_the_frozen_matmul_step_bit_for_bit(self, sizes, batch, scale, seed):
+        # independent of backward, which runs the same products as the step
+        rng = np.random.default_rng(seed)
+        layers = (*sizes, 3)
+        net, target = init_mlp(layers, seed=rng), init_mlp(layers, seed=rng)
+        arrays = _stack(random_transitions(rng, sizes[0], batch, scale))
+        want_loss, want_grads, want_params = matmul_step(net, target, *arrays, 0.95, 0.01)
+
+        block = _ParameterBlock((net, target), batch)
+        loss = _dqn_step(block, *arrays, 0.95, 0.01)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        online = block.nets[0]
+        for got, want in zip((*block.grads.weights, *block.grads.biases, *online.weights,
+                              *online.biases), (*want_grads, *want_params)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert block.params[1].tobytes() == _ParameterBlock((target,), 1).params[0].tobytes()
 
     def test_step_reads_nothing_an_earlier_step_left_in_its_workspace(self):
         # every array the block holds for a step poisoned first, the flat gradient
