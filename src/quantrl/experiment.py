@@ -129,9 +129,9 @@ class ExperimentConfig(TrainConfig):
 
     The RL hyperparameters and `seed` are TrainConfig's. `data` is the CSV
     path of `{"csv": path}` or the spec of `{"synthetic": {...}}`. The other
-    fields carry the config defaults; a `None` default is resolved at parse
-    time (symbol from the data, window from the agent, annualization
-    sqrt(252)), except `out_dir`.
+    fields carry the config defaults; construction resolves a `None` default
+    (symbol from the data, window from the agent, annualization sqrt(252)),
+    except `out_dir`, and checks every rule, under `dataclasses.replace` too.
     """
 
     data: str | SyntheticSpec
@@ -161,6 +161,51 @@ class ExperimentConfig(TrainConfig):
     annualization: float | None = None
     holding_day_count: str = "calendar"
     out_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.agent not in AGENT_KINDS:
+            raise ValueError(f"unknown agent kind {self.agent!r}; valid kinds: {', '.join(AGENT_KINDS)}")
+        for key in ("symbol", "out_dir"):
+            if not isinstance(getattr(self, key), (str, type(None))):
+                raise ValueError(f"{key}: expected a string, got {getattr(self, key)!r}")
+        # Cross-field defaults: a null or empty value takes the derived one.
+        stem = Path(self.data).stem if isinstance(self.data, str) else "SYNTH"
+        object.__setattr__(self, "symbol", self.symbol or stem)
+        if self.window is None:
+            object.__setattr__(self, "window", 3 if self.agent == "qtable" else 10)
+        if self.annualization is None:
+            object.__setattr__(self, "annualization", math.sqrt(252.0))
+        super().__post_init__()
+        for key, choices in _CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}; got {getattr(self, key)!r}")
+        if self.train_start > self.train_end:
+            raise ValueError("train_start must not be after train_end")
+        if self.test_start > self.test_end:
+            raise ValueError("test_start must not be after test_end")
+        if self.train_end >= self.test_start:
+            raise ValueError("train window must strictly precede the test window")
+        if self.window < 1:
+            raise ValueError("window must be >= 1")
+        if not self.hidden_sizes or any(s < 1 for s in self.hidden_sizes):
+            raise ValueError("hidden_sizes must be a non-empty list of positive integers")
+        if not self.state_cuts or any(b <= a for a, b in zip(self.state_cuts, self.state_cuts[1:])):
+            raise ValueError("state_cuts must be a non-empty, strictly increasing list")
+        if self.annualization <= 0:
+            raise ValueError("annualization must be positive")
+        if not 1 <= self.fast_period < self.slow_period:
+            raise ValueError("need slow_period > fast_period >= 1")
+        if self.initial_cash <= 0:
+            raise ValueError("initial_cash must be positive")
+        if not 0 <= self.initial_shares <= MAX_SHARES:
+            raise ValueError(f"initial_shares must be in [0, 2**53]; got {self.initial_shares}")
+        if not 0.0 <= self.cost_rate < 1.0:
+            raise ValueError("cost_rate must be in [0, 1)")
+        for key in ("buy_fraction", "sell_fraction"):
+            if not 0.0 < getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must be in (0, 1]")
+        if self.sma_period < 1 or self.rsi_period < 1:
+            raise ValueError("indicator periods must be >= 1")
 
     def cost_model(self) -> CostModel:
         return CostModel(self.cost_rate)
@@ -267,8 +312,8 @@ def _echo(value: Any) -> Any:
 def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> SyntheticSpec:
     """The spec of a `data.synthetic` object, or of `quantrl synth`'s flags.
 
-    Values are coerced as config values are; errors name a key as `prefix`
-    plus the field name.
+    Values are coerced as config values are; errors, SyntheticSpec's own
+    included, name a key as `prefix` plus the field name.
     """
     unknown = set(raw) - _SYNTHETIC_KEYS
     if unknown:
@@ -276,19 +321,15 @@ def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> Synthetic
     for key in ("kind", "length"):
         if key not in raw:
             raise ConfigError(f"{prefix}{key} is required")
-    if raw["kind"] not in SYNTHETIC_KINDS:
-        raise ConfigError(
-            f"{prefix}kind: unknown synthetic kind {raw['kind']!r}; "
-            f"valid kinds: {', '.join(SYNTHETIC_KINDS)}"
-        )
     values = _field_values(fields(SyntheticSpec), raw, prefix)
-    if values.get("seed", 0) < 0:
-        raise ConfigError(f"{prefix}seed must be >= 0, got {values['seed']}")
-    return SyntheticSpec(**values)
+    try:
+        return SyntheticSpec(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Validate a raw config mapping and fill documented defaults."""
+    """Decode a raw config mapping; ExperimentConfig checks the values and fills defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(CONFIG_KEYS)
@@ -301,11 +342,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("'data' must be exactly one of {\"csv\": path} or {\"synthetic\": {...}}")
     if "agent" not in raw:
         raise ConfigError("missing required key 'agent'")
-    agent = raw["agent"]
-    if agent not in AGENT_KINDS:
-        raise ConfigError(
-            f"unknown agent kind {agent!r}; valid kinds: {', '.join(AGENT_KINDS)}"
-        )
     source = data.get("csv")
     if "synthetic" in data:
         if not isinstance(data["synthetic"], dict):
@@ -313,53 +349,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         source = synthetic_from_dict(data["synthetic"])
     elif not (isinstance(source, str) and source):
         raise ConfigError(f"data.csv: expected a file path, got {source!r}")
-    values: dict[str, Any] = {"data": source, **_field_values(_KEY_FIELDS, raw)}
-    for key in ("symbol", "out_dir"):
-        if not isinstance(values.get(key), (str, type(None))):
-            raise ConfigError(f"{key}: expected a string, got {values[key]!r}")
-    # Cross-field defaults: a missing, null or empty key takes the derived value.
-    csv_stem = Path(source).stem if isinstance(source, str) else "SYNTH"
-    values["symbol"] = values.get("symbol") or csv_stem
-    if values.get("window") is None:
-        values["window"] = 3 if agent == "qtable" else 10
-    if values.get("annualization") is None:
-        values["annualization"] = math.sqrt(252.0)
+    values = _field_values(_KEY_FIELDS, raw)
     try:
-        cfg = ExperimentConfig(**values)
-    except ValueError as exc:  # TrainConfig's hyperparameter checks
+        return ExperimentConfig(data=source, **values)
+    except ValueError as exc:  # the config's own checks
         raise ConfigError(str(exc)) from None
-
-    for key, choices in _CHOICES.items():
-        if getattr(cfg, key) not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)}; got {getattr(cfg, key)!r}")
-    if cfg.train_start > cfg.train_end:
-        raise ConfigError("train_start must not be after train_end")
-    if cfg.test_start > cfg.test_end:
-        raise ConfigError("test_start must not be after test_end")
-    if cfg.train_end >= cfg.test_start:
-        raise ConfigError("train window must strictly precede the test window")
-    if cfg.window < 1:
-        raise ConfigError("window must be >= 1")
-    if not cfg.hidden_sizes or any(s < 1 for s in cfg.hidden_sizes):
-        raise ConfigError("hidden_sizes must be a non-empty list of positive integers")
-    if not cfg.state_cuts or any(b <= a for a, b in zip(cfg.state_cuts, cfg.state_cuts[1:])):
-        raise ConfigError("state_cuts must be a non-empty, strictly increasing list")
-    if cfg.annualization <= 0:
-        raise ConfigError("annualization must be positive")
-    if not 1 <= cfg.fast_period < cfg.slow_period:
-        raise ConfigError("need slow_period > fast_period >= 1")
-    if cfg.initial_cash <= 0:
-        raise ConfigError("initial_cash must be positive")
-    if not 0 <= cfg.initial_shares <= MAX_SHARES:
-        raise ConfigError(f"initial_shares must be in [0, 2**53]; got {cfg.initial_shares}")
-    if not 0.0 <= cfg.cost_rate < 1.0:
-        raise ConfigError("cost_rate must be in [0, 1)")
-    for key in ("buy_fraction", "sell_fraction"):
-        if not 0.0 < getattr(cfg, key) <= 1.0:
-            raise ConfigError(f"{key} must be in (0, 1]")
-    if cfg.sma_period < 1 or cfg.rsi_period < 1:
-        raise ConfigError("indicator periods must be >= 1")
-    return cfg
 
 
 def parse_json(text: str) -> Any:

@@ -449,6 +449,13 @@ class SyntheticSpec:
     volatility: float = 0.0
     volume: float = 1_000_000.0
 
+    def __post_init__(self) -> None:
+        if self.kind not in SYNTHETIC_KINDS:
+            raise ValueError(f"kind: unknown synthetic kind {self.kind!r}; "
+                             f"valid kinds: {', '.join(SYNTHETIC_KINDS)}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 # An unrepresentable price overflows to inf; the row checks report that, not numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
@@ -458,8 +465,6 @@ def generate_synthetic(kind: str, *, symbol: str = "SYNTH", **settings) -> BarSe
     `settings` are SyntheticSpec's other fields; `length` is required.
     """
     spec = SyntheticSpec(kind, **settings)
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"unknown synthetic kind {kind!r}; valid: {', '.join(SYNTHETIC_KINDS)}")
     if spec.length < 2:
         raise ValueError("length must be >= 2")
     if spec.base <= 0:

@@ -206,9 +206,12 @@ class TestConfig:
     def test_refuses_only_with_config_error(self, raw):
         # a config is parsed or refused with a message; no other exception escapes
         try:
-            assert isinstance(config_from_dict(raw), ExperimentConfig)
+            cfg = config_from_dict(raw)
         except ConfigError:
-            pass
+            return
+        assert isinstance(cfg, ExperimentConfig)
+        # the type checks and resolves a parsed config again, to the same value
+        assert replace(cfg) == cfg
 
     def test_minimal_defaults(self, tmp_path):
         path = tmp_path / "exp.json"
@@ -226,6 +229,12 @@ class TestConfig:
     def test_qtable_window_default(self):
         cfg = config_from_dict({"data": {"csv": "x.csv"}, "agent": "qtable"})
         assert cfg.window == 3
+
+    @pytest.mark.parametrize("agent", AGENT_KINDS)
+    def test_construction_resolves_the_parsed_defaults(self, agent):
+        # symbol, window and annualization are derived by the type, not the parser
+        parsed = config_from_dict({"data": {"csv": "x.csv"}, "agent": agent})
+        assert ExperimentConfig(data="x.csv", agent=agent) == parsed
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys: learning_rate"):
@@ -267,6 +276,23 @@ class TestConfig:
             config_from_dict(
                 {"data": {"synthetic": {"kind": "gbm"}}, "agent": "dqn"}
             )
+        # SyntheticSpec checks kind and seed itself: config_from_dict reports its
+        # message under the key's path, and replace gets the message unprefixed
+        spec = SyntheticSpec("gbm", 10)
+        for key, value, message in [
+            ("kind", "steps", "kind: unknown synthetic kind 'steps'; valid kinds: sinusoid, trend, gbm"),
+            ("seed", -1, "seed must be >= 0, got -1"),
+            ("seed", None, "seed must be >= 0, got None"),
+        ]:
+            with pytest.raises(ValueError) as replaced:
+                replace(spec, **{key: value})
+            assert str(replaced.value) == message
+            raw = {"data": {"synthetic": {"kind": "gbm", "length": 10, key: value}}, "agent": "dqn"}
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict(raw)
+            # a null seed is refused earlier, as a value that does not coerce to an int
+            coerce = "data.synthetic.seed: expected int, got None"
+            assert str(parsed.value) == (coerce if value is None else f"data.synthetic.{message}")
 
     def test_hyperparameters_validated(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="gamma"):
@@ -278,7 +304,9 @@ class TestConfig:
                 with pytest.raises(ConfigError, match=key):
                     config_from_dict({"data": {"csv": "x.csv"}, "agent": "sma_crossover", key: bad})
         # TrainConfig's own messages, word for word, reported as config errors
+        # and raised by replace on a parsed config
         path = tmp_path / "exp.json"
+        valid = config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn"})
         for bad in (
             {"alpha": 0}, {"alpha": -1e-3}, {"gamma": 1.0}, {"gamma": -0.1}, {"episodes": 0},
             {"batch_size": 0}, {"buffer_capacity": -5}, {"target_sync_period": 0},
@@ -291,6 +319,9 @@ class TestConfig:
             with pytest.raises(ConfigError) as parsed:
                 config_from_dict(raw)
             assert str(parsed.value) == str(expected.value), bad
+            with pytest.raises(ValueError) as replaced:
+                replace(valid, **bad)
+            assert str(replaced.value) == str(expected.value), bad
             path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err == f"error: [config] {expected.value}\n"
@@ -309,10 +340,25 @@ class TestConfig:
         ("initial_cash", 0, "initial_cash must be positive"),
         ("sma_period", 0, "indicator periods must be >= 1"),
         ("rsi_period", 0, "indicator periods must be >= 1"),
+        ("agent", "bogus",
+         "unknown agent kind 'bogus'; valid kinds: qtable, dqn, buy_and_hold, sma_crossover"),
+        ("symbol", 5, "symbol: expected a string, got 5"),
+        ("state_cuts", [0.1, -0.1], "state_cuts must be a non-empty, strictly increasing list"),
+        ("annualization", -1.0, "annualization must be positive"),
+        ("initial_shares", -1, "initial_shares must be in [0, 2**53]; got -1"),
+        ("cost_rate", 1.0, "cost_rate must be in [0, 1)"),
+        ("buy_fraction", 0, "buy_fraction must be in (0, 1]"),
+        ("normalization", "zscore",
+         "normalization must be one of unit_range, signed_range; got 'zscore'"),
+        ("return_field", "open", "return_field must be one of close, adj_close; got 'open'"),
+        ("reward_mode", "log", "reward_mode must be one of percentage, absolute; got 'log'"),
+        ("holding_day_count", "business",
+         "holding_day_count must be one of calendar, trading; got 'business'"),
     ])
     def test_one_key_edit_is_refused_with_its_message(self, key, value, message):
         # each edit of a valid config, or removal when value is None, breaks one rule
-        raw = config_to_dict(sinusoid_config())
+        valid = sinusoid_config()
+        raw = config_to_dict(valid)
         if value is None:
             del raw[key]
         else:
@@ -320,6 +366,13 @@ class TestConfig:
         with pytest.raises(ConfigError) as refused:
             config_from_dict(raw)
         assert str(refused.value) == message
+        if value is not None:
+            # replace with the value as parsing decodes it is checked alike
+            decode = {"date": date.fromisoformat, "tuple[int, ...]": tuple, "tuple[float, ...]": tuple}
+            field_type = next(f.type for f in fields(ExperimentConfig) if f.name == key)
+            with pytest.raises(ValueError) as replaced:
+                replace(valid, **{key: decode.get(field_type, lambda v: v)(value)})
+            assert str(replaced.value) == message
 
     def test_coercion_errors_name_the_key(self):
         base = {"data": {"csv": "x.csv"}, "agent": "dqn"}

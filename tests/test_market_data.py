@@ -746,8 +746,16 @@ class TestGenerateSynthetic:
             generate_synthetic("sinusoid", length=10, amplitude=200.0, base=100.0)
         with pytest.raises(ValueError):
             generate_synthetic("gbm", length=1)
-        with pytest.raises(ValueError, match="unknown synthetic kind"):
+        with pytest.raises(ValueError) as info:
             generate_synthetic("squarewave", length=10)
+        message = "kind: unknown synthetic kind 'squarewave'; valid kinds: sinusoid, trend, gbm"
+        assert str(info.value) == message
+        # a seed is an int >= 0 for every kind; None would draw a fresh series on each call
+        for kind in ("gbm", "sinusoid"):
+            for seed in (None, -1):
+                with pytest.raises(ValueError) as info:
+                    generate_synthetic(kind, length=5, seed=seed, volatility=0.2)
+                assert str(info.value) == f"seed must be >= 0, got {seed}"
 
     def test_unrepresentable_prices_rejected(self):
         # (1 + drift) ** t overflows to inf; the row is rejected as any bar with it would be
