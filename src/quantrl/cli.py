@@ -24,10 +24,10 @@ from .experiment import (
     ExperimentConfig,
     ExperimentError,
     LEARNING_AGENTS,
+    Report,
     compare_test_metrics,
     config_from_dict,
     emit_report,
-    emit_training,
     load_artifact,
     load_bars,
     load_report_metrics,
@@ -121,7 +121,7 @@ def cmd_train(args: argparse.Namespace, extras: Sequence[str]) -> int:
         artifact, history = train_agent(cfg, train_window)
     out = _resolve_out_dir(cfg, args.out)
     with stage("report"):
-        emit_training(cfg, history, artifact, out)
+        emit_report(Report(cfg, {}, history, artifact), out)
     print(f"trained {cfg.agent} for {cfg.episodes} episodes; artifacts in {out}")
     return 0
 

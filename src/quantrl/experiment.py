@@ -716,11 +716,10 @@ def load_report_metrics(
     """The test window and per-strategy test metrics of a complete report directory.
 
     A read error is prefixed with the metrics.json path. The document must
-    hold a test window with string dates and decodable test metrics per
-    strategy, and every file it implies must be present: emit_report writes
-    metrics.json last, so a directory missing one was changed afterwards.
-    Then it must hold a string symbol, a train window with string dates and
-    decodable train metrics per strategy.
+    hold a test and a train window with string dates, a string symbol, and
+    decodable test and train metrics per strategy. Then every file it implies
+    must be present: emit_report writes metrics.json last, so a directory
+    missing one was changed afterwards.
     """
     directory = Path(report_dir)
     path = directory / "metrics.json"
@@ -745,27 +744,26 @@ def load_report_metrics(
             raise ValueError(f"{path}: strategy {name!r} {window} {exc}") from None
 
     test_span = span("test_window")
+    span("train_window")
+    if not isinstance(doc.get("symbol"), str):
+        raise ValueError(f"{path}: symbol must be a string, got {doc.get('symbol')!r}")
     names = ["config_echo.json", "history.csv"]
     tests = {}
     for name, windows in doc["strategies"].items():
         tests[name] = metrics(name, windows, "test")
+        metrics(name, windows, "train")
         names += [f"equity_{name}.csv", f"trades_{name}.csv"]
     for name in names:
         if not (directory / name).is_file():
             raise ValueError(f"{directory}: incomplete report, missing {name}")
-    if not isinstance(doc.get("symbol"), str):
-        raise ValueError(f"{path}: symbol must be a string, got {doc.get('symbol')!r}")
-    span("train_window")
-    for name, windows in doc["strategies"].items():
-        metrics(name, windows, "train")
     return test_span, tests
 
 
 def load_artifact(cfg: ExperimentConfig, path: str | Path | None) -> Mlp | QTable | None:
-    """Read the trained artifact of cfg's learning agent, as emit_training wrote it.
+    """Read the trained artifact of cfg's learning agent, as emit_report wrote it.
 
     A learning agent needs a path; a baseline takes none and gets None. The
-    config_echo.json emit_training wrote beside it, if there is one, must
+    config_echo.json emit_report wrote beside it, if there is one, must
     agree with cfg on the agent, on every TRAINING_KEYS key and on the key that
     shapes this learner's artifact; an artifact alone is not checked.
     """
@@ -790,43 +788,32 @@ def _check_config_echo(cfg: ExperimentConfig, path: Path) -> None:
             raise ValueError(f"{path}: artifact trained under {key}={trained}, not {evaluated}")
 
 
-def emit_training(
-    cfg: ExperimentConfig,
-    history: Sequence[HistoryRow],
-    artifact: Mlp | QTable | None,
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write the config echo, history.csv and the trained artifact, if any.
+def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
+    """Write the config echo, history.csv, the trained artifact if any, and each
+    strategy's curve and trades, then metrics.json; return every path written.
 
-    An earlier report's metrics.json is removed first: only a complete
-    report directory holds one.
+    An earlier metrics.json is removed first and the new one goes last, so a
+    directory that holds one is a complete report. A report with no strategies,
+    as `train` emits, writes no metrics.json.
     """
+    cfg = report.config
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.json").unlink(missing_ok=True)
     written = [out / "config_echo.json", out / "history.csv"]
     written[0].write_text(_json_text(config_to_dict(cfg)), encoding="utf-8")
-    write_history(history, written[1])
-    if artifact is not None:
+    write_history(report.history, written[1])
+    if report.artifact is not None:
         name, write, _, _ = _ARTIFACTS[cfg.agent]
         written.append(out / name)
-        write(artifact, written[-1])
-    return written
-
-
-def emit_report(report: Report, out_dir: str | Path) -> list[Path]:
-    """Write emit_training's files, each strategy's curve and trades, then metrics.json.
-
-    metrics.json goes last, so a directory that holds one is a complete report.
-    """
-    out = Path(out_dir)
-    written = emit_training(report.config, report.history, report.artifact, out)
+        write(report.artifact, written[-1])
     texts = {}
-    days = [d.isoformat() + "," for d in report.test_dates]
-    for name, result in report.strategies.items():
-        texts[f"equity_{name}.csv"] = _equity_csv(days, result.test_curve)
-        texts[f"trades_{name}.csv"] = _trades_csv(result.test_trades)
-    texts["metrics.json"] = _json_text(metrics_document(report))
+    if report.strategies:
+        days = [d.isoformat() + "," for d in report.test_dates]
+        for name, result in report.strategies.items():
+            texts[f"equity_{name}.csv"] = _equity_csv(days, result.test_curve)
+            texts[f"trades_{name}.csv"] = _trades_csv(result.test_trades)
+        texts["metrics.json"] = _json_text(metrics_document(report))
     for name, text in texts.items():
         written.append(out / name)
         written[-1].write_text(text, encoding="utf-8")

@@ -270,38 +270,33 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
         rows = np.frombuffer(values).reshape(-1, len(header) - 1)
         return rows if header == CSV_COLUMNS else np.insert(rows, 4, rows[:, 3], axis=1)
 
-    # Blocks of lines parse as columns. A block _parse_block refuses goes
-    # through csv.reader row by row, which names the first bad row; rows are
-    # validated as columns after the parse, and the first bad row still wins,
-    # a validation error over a later parse error.
+    # Blocks of lines parse as columns. From the first block _parse_block
+    # refuses, csv.reader reads the rest of the file row by row, which names
+    # the first bad row; rows are validated as columns after the parse, and
+    # the first bad row still wins, a validation error over a later parse error.
     lineno = 2
     while chunk := list(islice(source, _BLOCK_LINES)):
         try:
             days, numbers = _parse_block(chunk, len(header))
         except ValueError:
-            pass
-        else:
-            dates += days
+            source = chain(chunk, source)
+            break
+        dates += days
+        values += numbers
+        lineno += len(chunk)
+    for row in csv.reader(source):
+        if row:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                day = parse_date(row[0].strip())
+                numbers = array("d", map(float, row[1:]))
+            except ValueError as exc:
+                _check_rows(dates, parsed())
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            dates.append(day)
             values += numbers
-            lineno += len(chunk)
-            continue
-        # The reader reads on past the block while a quoted cell spans lines.
-        reader = csv.reader(chain(chunk, source))
-        for row in reader:
-            if row:
-                try:
-                    if len(row) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                    day = parse_date(row[0].strip())
-                    numbers = array("d", map(float, row[1:]))
-                except ValueError as exc:
-                    _check_rows(dates, parsed())
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                dates.append(day)
-                values += numbers
-            lineno += 1
-            if reader.line_num >= len(chunk):
-                break
+        lineno += 1
     if not dates:
         raise DataError(f"{path}: no data rows")
     block = parsed()

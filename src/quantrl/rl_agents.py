@@ -148,7 +148,7 @@ def _stack(batch: Sequence[Transition]):
     """A Transition list as the arrays _ReplayArrays.sample returns."""
     return (
         np.stack([[t.state for t in batch], [t.next_state for t in batch]]),
-        np.array([int(t.action) for t in batch])[:, None] == np.arange(len(_ACTIONS)),
+        _ONE_HOT[[int(t.action) for t in batch]],
         np.array([t.reward for t in batch], dtype=float),
         np.array([t.terminal for t in batch], dtype=bool),
     )
@@ -211,7 +211,7 @@ class TrainConfig:
         EpsilonSchedule(self.eps_start, self.eps_end)  # validates the epsilon range
         if not 0.0 < self.eps_decay_fraction <= 1.0:
             raise ValueError("eps_decay_fraction must be in (0, 1]")
-        if self.seed < 0:
+        if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -18,6 +18,7 @@ from quantrl.experiment import (
     ConfigError,
     ExperimentConfig,
     ExperimentError,
+    Report,
     TRAINING_KEYS,
     build_window,
     compare_strategies,
@@ -25,7 +26,6 @@ from quantrl.experiment import (
     config_from_dict,
     config_to_dict,
     emit_report,
-    emit_training,
     greedy_policy,
     load_bars,
     load_report_metrics,
@@ -64,10 +64,10 @@ def synthetic_dates(kind="sinusoid", length=260, **params):
     return bars.dates()
 
 
-def emitted(write, *args):
-    """Each file `write(*args, out_dir)` writes (emit_report, emit_training), name -> bytes."""
+def emitted(report):
+    """Each file `emit_report(report, out_dir)` writes, name -> bytes."""
     with tempfile.TemporaryDirectory() as out:
-        return {path.name: path.read_bytes() for path in write(*args, out)}
+        return {path.name: path.read_bytes() for path in emit_report(report, out)}
 
 
 def sinusoid_config(agent="buy_and_hold", length=120, train_days=80, **extra):
@@ -325,6 +325,14 @@ class TestConfig:
             path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err == f"error: [config] {expected.value}\n"
+        # a seed that is not an int is refused by TrainConfig itself; a parsed
+        # null never gets there, as a value that does not coerce to an int
+        for make in (lambda: TrainConfig(seed=None), lambda: replace(valid, seed=None)):
+            with pytest.raises(ValueError) as refused:
+                make()
+            assert str(refused.value) == "seed must be >= 0, got None"
+        with pytest.raises(ConfigError, match=r"^seed: expected int, got None$"):
+            config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "seed": None})
 
     @pytest.mark.parametrize("key, value, message", [
         ("data", None, "missing required key 'data'"),
@@ -747,11 +755,11 @@ class TestRunExperiment:
         artifact, history = train_agent(
             cfg, prepare_data(cfg, replaced_after(cfg.train_end)).train_window
         )
-        assert emitted(emit_training, cfg, history, artifact) == emitted(
-            emit_training, cfg, report.history, report.artifact
+        assert emitted(Report(cfg, {}, history, artifact)) == emitted(
+            Report(cfg, {}, report.history, report.artifact)
         )
         unseen_tail = run_prepared(cfg, prepare_data(cfg, replaced_after(cfg.test_end)))
-        assert emitted(emit_report, unseen_tail) == emitted(emit_report, report)
+        assert emitted(unseen_tail) == emitted(report)
 
     @pytest.mark.parametrize("agent", ["qtable", "dqn", "sma_crossover"])
     def test_one_prepared_value_serves_many_runs(self, agent):
@@ -762,9 +770,7 @@ class TestRunExperiment:
         before = [array.tobytes() for array in arrays]
         for seed in (1, 2, 1):
             seeded = replace(cfg, seed=seed)
-            assert emitted(emit_report, run_prepared(seeded, prepared)) == emitted(
-                emit_report, run_experiment(seeded)
-            )
+            assert emitted(run_prepared(seeded, prepared)) == emitted(run_experiment(seeded))
         assert [array.tobytes() for array in arrays] == before
 
     def test_prepared_data_refuses_a_config_it_was_not_built_with(self):
@@ -954,6 +960,16 @@ class TestEmitReport:
         assert test_metrics["winning_pct"] == "undefined"
         assert test_metrics["avg_holding_days"] == "undefined"
 
+    def test_report_without_strategies_writes_no_metrics(self, tmp_path):
+        # train's report: the echo, history and artifact, and an earlier
+        # metrics.json, which would mark the directory complete, is gone
+        report, out, _ = self.run_small(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        paths = emit_report(Report(report.config, {}, report.history, report.artifact), out)
+        assert [p.name for p in paths] == ["config_echo.json", "history.csv", "qtable.csv"]
+        assert all(p.read_bytes() == before[p.name] for p in paths)
+        assert not (out / "metrics.json").exists()
+
     def test_history_csv_format(self, tmp_path):
         _, out, _ = self.run_small(tmp_path)
         lines = (out / "history.csv").read_text().splitlines()
@@ -1011,6 +1027,27 @@ class TestCompare:
         assert read_back.rows == in_memory.rows
         assert read_back.winners == in_memory.winners
         assert read_back.to_csv_text() == in_memory.to_csv_text()
+
+    # metrics.json is decoded whole, strategy by strategy in document order,
+    # before the files it implies are looked for
+    @pytest.mark.parametrize("fault, message", [
+        (lambda doc: doc.pop("train_window"), "train_window needs string start and end dates"),
+        (lambda doc: doc.pop("symbol"), "symbol must be a string, got None"),
+        (lambda doc: doc["strategies"]["sma_crossover"].pop("test"),
+         "strategy 'buy_and_hold' lacks complete train metrics"),
+    ], ids=["train-window", "symbol", "later-strategy-test"])
+    def test_document_faults_come_before_missing_files(self, tmp_path, fault, message):
+        cfg = sinusoid_config(agent="sma_crossover", fast_period=3, slow_period=9)
+        emit_report(run_experiment(cfg), tmp_path)
+        path = tmp_path / "metrics.json"
+        doc = read_json(path)
+        fault(doc)
+        doc["strategies"]["buy_and_hold"].pop("train")
+        path.write_text(json.dumps(doc))
+        (tmp_path / "equity_sma_crossover.csv").unlink()
+        with pytest.raises(ValueError) as refused:
+            load_report_metrics(tmp_path)
+        assert str(refused.value) == f"{path}: {message}"
 
 
 class TestCli:
