@@ -25,7 +25,6 @@ from .market_data import (
     NORMALIZATION_MODES,
     NormalizationMode,
     Normalizer,
-    SYNTHETIC_KINDS,
     SyntheticSpec,
     apply_normalizer,
     build_observations,
@@ -584,6 +583,8 @@ class Report:
     @property
     def test_dates(self) -> tuple[date, ...]:
         """The test window's dates, which every strategy's curve spans."""
+        if not self.strategies:
+            raise ValueError("the report has no test window: it holds no strategy")
         return next(iter(self.strategies.values())).test_curve.dates
 
     @property

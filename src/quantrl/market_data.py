@@ -272,8 +272,9 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
 
     # Blocks of lines parse as columns. From the first block _parse_block
     # refuses, csv.reader reads the rest of the file row by row, which names
-    # the first bad row; rows are validated as columns after the parse, and
-    # the first bad row still wins, a validation error over a later parse error.
+    # the line the first bad row starts on (a quoted cell may span lines);
+    # rows are validated as columns after the parse, and the first bad row
+    # still wins, a validation error over a later parse error.
     lineno = 2
     while chunk := list(islice(source, _BLOCK_LINES)):
         try:
@@ -284,7 +285,8 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
         dates += days
         values += numbers
         lineno += len(chunk)
-    for row in csv.reader(source):
+    first = lineno
+    for row in (rows := csv.reader(source)):
         if row:
             try:
                 if len(row) != len(header):
@@ -296,7 +298,7 @@ def load_csv(path: str | Path, symbol: str | None = None) -> BarSeries:
                 raise DataError(f"{path}:{lineno}: {exc}") from None
             dates.append(day)
             values += numbers
-        lineno += 1
+        lineno = first + rows.line_num
     if not dates:
         raise DataError(f"{path}: no data rows")
     block = parsed()

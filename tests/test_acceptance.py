@@ -344,17 +344,43 @@ def _cli(cwd, hash_seed, *args):
     assert done.returncode == 0, done.stderr
 
 
-@pytest.mark.parametrize("agent, artifact", [("qtable", "qtable.csv"), ("dqn", "checkpoint_dqn.txt")])
-def test_criterion_7_cross_process_determinism(tmp_path, agent, artifact):
-    # two interpreters with different string hashing write the same bytes, and
-    # evaluating the first run's artifact reproduces its report
-    config = sinusoid_experiment_config(agent) | {"episodes": 20 if agent == "qtable" else 3}
+# the qtable_train benchmark's settings (window 3, indicators, costs and its 11
+# state cuts) on a GBM series: buys and sells under costs with a percentage
+# reward reach over a hundred states, where the sine run's table has few
+MANY_STATES = {
+    "data": {"synthetic": {"kind": "gbm", "length": 260, "seed": 42, "drift": 0.05,
+                           "volatility": 0.2}},
+    "episodes": 3,
+    "window": 3,
+    "use_indicators": True,
+    "cost_rate": 0.001,
+    "state_cuts": [-0.5, -0.2, 0.0, 0.2, 0.5, 0.8, 0.97, 0.99, 1.0, 1.01, 1.03],
+}
+
+
+@pytest.mark.parametrize("agent, artifact, overrides", [
+    pytest.param("qtable", "qtable.csv", {"episodes": 20}, id="qtable-qtable.csv"),
+    pytest.param("dqn", "checkpoint_dqn.txt", {"episodes": 3}, id="dqn-checkpoint_dqn.txt"),
+    # a batch of one and one hidden layer of 8: each weight gradient is an
+    # outer product, whose sums have one term, and acting is a one-row
+    # product; the update picks np.dot or matmul per shape
+    pytest.param("dqn", "checkpoint_dqn.txt", {"episodes": 3, "batch_size": 1, "hidden_sizes": [8]},
+                 id="dqn-batch-1-hidden-8"),
+    pytest.param("qtable", "qtable.csv", MANY_STATES, id="qtable-many-states"),
+])
+def test_criterion_7_cross_process_determinism(tmp_path, agent, artifact, overrides):
+    # two interpreters with different string hashing write the same bytes,
+    # evaluating the first run's artifact reproduces its report, and train
+    # writes exactly run's config echo, history and artifact
+    config = sinusoid_experiment_config(agent) | overrides
     (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
     for run_dir, hash_seed in (("first", "0"), ("second", "12345")):
         _cli(tmp_path, hash_seed, "run", "--config", "c.json", "--out", run_dir)
     _cli(tmp_path, "1", "evaluate", "--config", "c.json", "--checkpoint", f"first/{artifact}",
          "--out", "evaluated")
-    first, second, evaluated = (tmp_path / d for d in ("first", "second", "evaluated"))
+    _cli(tmp_path, "2", "train", "--config", "c.json", "--out", "trained")
+    first, second, evaluated, trained = (
+        tmp_path / d for d in ("first", "second", "evaluated", "trained"))
     names = sorted(f.name for f in first.iterdir())
     assert names == sorted(f.name for f in second.iterdir()) and artifact in names
     for name in names:
@@ -363,6 +389,12 @@ def test_criterion_7_cross_process_determinism(tmp_path, agent, artifact):
     assert len(reported) == 5
     for name in reported:
         assert (first / name).read_bytes() == (evaluated / name).read_bytes(), name
+    trained_names = sorted(f.name for f in trained.iterdir())
+    assert trained_names == sorted(["config_echo.json", "history.csv", artifact])
+    for name in trained_names:
+        assert (first / name).read_bytes() == (trained / name).read_bytes(), name
+    if overrides is MANY_STATES:
+        assert len((first / artifact).read_text().splitlines()) - 1 > 100
 
 
 # --- criterion 8: buy-and-hold closed form ----------------------------------

@@ -488,13 +488,15 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_failure_is_one_tagged_line(tmp_path, capsys, reports, case):
+def test_failure_is_one_tagged_line(tmp_path, capsys, monkeypatch, reports, case):
+    # a row's report directory, named by --out or defaulted under the out
+    # root, is tmp/out or inside it, which must stay unwritten
+    monkeypatch.setenv("QUANTRL_OUT_ROOT", str(tmp_path / "out"))
     argv, stage, pattern = CASES[case]
     code, _, err, caught = run_cli(capsys, argv(tmp_path, reports))
     assert code == 1
     assert re.fullmatch(rf"error: \[{stage}\] [^\n]*{pattern}[^\n]*\n", err), err
     assert caught == []
-    # a row that names tmp/out as its report directory must leave it unwritten
     assert not (tmp_path / "out").exists()
 
 
@@ -543,6 +545,14 @@ def test_evaluation_side_keys_may_differ_from_the_echo(tmp_path, capsys):
 ])
 def test_other_learners_key_may_differ_from_the_echo(tmp_path, capsys, agent, override):
     assert evaluates_trained(tmp_path, capsys, agent, override)
+    # the key shapes nothing the artifact holds: the report is the unchanged config's
+    code, _, err, _ = run_cli(capsys, [
+        "evaluate", "--config", tmp_path / "c.json",
+        "--checkpoint", tmp_path / "trained" / ARTIFACT_NAMES[agent], "--out", tmp_path / "plain",
+    ])
+    assert code == 0 and err == ""
+    assert ((tmp_path / "evaluated" / "metrics.json").read_bytes()
+            == (tmp_path / "plain" / "metrics.json").read_bytes())
 
 
 def test_valid_reports_compare(tmp_path, capsys, reports):

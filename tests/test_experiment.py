@@ -995,6 +995,12 @@ class TestCompare:
         with pytest.raises(ValueError, match="test windows differ"):
             compare_strategies([run_experiment(cfg_a), run_experiment(cfg_b)])
 
+    def test_report_without_strategies_has_no_test_window(self):
+        # train's kind of report: a ValueError, not a bare StopIteration
+        report = Report(sinusoid_config(), {}, [], None)
+        with pytest.raises(ValueError, match="the report has no test window"):
+            compare_strategies([report])
+
     def test_column_order_fixed(self):
         cfg = sinusoid_config(agent="buy_and_hold")
         table = compare_strategies([run_experiment(cfg)])
@@ -1085,7 +1091,7 @@ class TestCli:
         )
         assert code == 0 and "wrote 50 bars" in out
         code, out, _ = self.run_cli(capsys, "ingest", "--csv", str(out_csv))
-        assert code == 0 and out.startswith("ok: 50 bars")
+        assert code == 0 and out == "ok: 50 bars of fixture from 2020-01-06 to 2020-03-13\n"
 
     def test_synth_flags_are_the_synthetic_keys(self):
         synth = next(

@@ -354,7 +354,9 @@ def reference_load_csv(path):
         return f"{path}: unexpected header {','.join(header)!r}"
     has_adj = header == CSV_COLUMNS
     bars = []
-    for lineno, row in enumerate(reader, start=2):
+    start = reader.line_num + 1  # the physical line the next record starts on
+    for row in reader:
+        lineno, start = start, reader.line_num + 1
         if not row:
             continue
         if len(row) != len(header):
@@ -447,6 +449,19 @@ class TestLoadCsvProperties:
         with pytest.raises(DataError) as info:
             load_csv(path)
         assert str(info.value) == "dates not strictly increasing: 2020-01-03 then 2020-01-03"
+
+    def test_error_names_the_physical_line_after_a_multiline_cell(self, tmp_path):
+        # the first row's Adj Close cell spans lines 2 and 3
+        path = tmp_path / "prices.csv"
+        path.write_text(
+            "Date,Open,High,Low,Close,Adj Close,Volume\n"
+            '2020-01-01,10,11,9,10.5,"1\n",5\n'
+            "2020-01-02,10,11,9,10.5,10.4,1000\n"
+            "2020-01-03,10,11,9,oops,10.4,1000\n"
+        )
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:5: could not convert string to float: 'oops'"
 
     @settings(max_examples=100, deadline=None)
     @given(price_csv())
