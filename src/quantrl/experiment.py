@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import Field, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from functools import partial
 from operator import add
@@ -32,7 +32,6 @@ from .market_data import (
     fit_normalizer,
     generate_synthetic,
     load_csv,
-    parse_date,
     rsi,
     sma,
 )
@@ -128,9 +127,10 @@ class ExperimentConfig(TrainConfig):
 
     The RL hyperparameters and `seed` are TrainConfig's. `data` is the CSV
     path of `{"csv": path}` or the spec of `{"synthetic": {...}}`. The other
-    fields carry the config defaults; construction resolves a `None` default
-    (symbol from the data, window from the agent, annualization sqrt(252)),
-    except `out_dir`, and checks every rule, under `dataclasses.replace` too.
+    fields carry the config defaults. Construction coerces every value as
+    parsing does, resolves a `None` default (symbol from the data, window from
+    the agent, annualization sqrt(252)), except `out_dir`, and checks every
+    rule, under `dataclasses.replace` too.
     """
 
     data: str | SyntheticSpec
@@ -162,11 +162,11 @@ class ExperimentConfig(TrainConfig):
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()  # coerces every field, then checks TrainConfig's
+        if not (isinstance(self.data, SyntheticSpec) or isinstance(self.data, str) and self.data):
+            raise ValueError(f"data.csv: expected a file path, got {self.data!r}")
         if self.agent not in AGENT_KINDS:
             raise ValueError(f"unknown agent kind {self.agent!r}; valid kinds: {', '.join(AGENT_KINDS)}")
-        for key in ("symbol", "out_dir"):
-            if not isinstance(getattr(self, key), (str, type(None))):
-                raise ValueError(f"{key}: expected a string, got {getattr(self, key)!r}")
         # Cross-field defaults: a null or empty value takes the derived one.
         stem = Path(self.data).stem if isinstance(self.data, str) else "SYNTH"
         object.__setattr__(self, "symbol", self.symbol or stem)
@@ -174,7 +174,6 @@ class ExperimentConfig(TrainConfig):
             object.__setattr__(self, "window", 3 if self.agent == "qtable" else 10)
         if self.annualization is None:
             object.__setattr__(self, "annualization", math.sqrt(252.0))
-        super().__post_init__()
         for key, choices in _CHOICES.items():
             if getattr(self, key) not in choices:
                 raise ValueError(f"{key} must be one of {', '.join(choices)}; got {getattr(self, key)!r}")
@@ -210,10 +209,8 @@ class ExperimentConfig(TrainConfig):
         return CostModel(self.cost_rate)
 
 
-# Config keys: `data`, parsed by its own rules, and the fields parsed by annotation.
-_KEY_FIELDS = tuple(f for f in fields(ExperimentConfig) if f.name != "data")
-CONFIG_KEYS = ("data", *(f.name for f in _KEY_FIELDS))
-_SYNTHETIC_KEYS = {f.name for f in fields(SyntheticSpec)}
+# Config keys, one per field: the parser passes each value to the type as given.
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 # Keys that shape the observations: `evaluate` refuses an artifact whose config
 # echo differs from the config in one of them or in its learner's _ARTIFACTS key.
 TRAINING_KEYS = ("data", "train_start", "train_end", "window", "use_indicators", "sma_period",
@@ -225,76 +222,6 @@ _CHOICES = {
     "reward_mode": REWARD_MODES,
     "holding_day_count": DAY_COUNTS,
 }
-
-
-def _as_int(raw: Any) -> int:
-    """An int from an int, an integral float or a numeric string; never a bool."""
-    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
-        raise ValueError
-    return int(raw)
-
-
-class _Expected(ValueError):
-    """A coercion failure reported as `<key>: expected <args[0]>, got <args[1]!r>`."""
-
-
-def _as_float(raw: Any) -> float:
-    """A finite float from a number or a numeric string; never a bool."""
-    if isinstance(raw, bool):
-        raise ValueError
-    if not math.isfinite(value := float(raw)):
-        raise _Expected("a finite number", raw)
-    return value
-
-
-def _as_bool(raw: Any) -> bool:
-    """JSON true/false, 0/1, or null for the default false; no string."""
-    if raw is None or (type(raw) in (bool, int) and raw in (0, 1)):
-        return bool(raw)
-    raise ValueError
-
-
-def _as_list(raw: Any) -> list | tuple:
-    """A JSON list; a string would split into characters."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError
-    return raw
-
-
-# How a raw JSON value becomes a field value, by field annotation; fields
-# whose annotation is not listed keep the raw value.
-_COERCE: dict[str, Callable[[Any], Any]] = {
-    "int": _as_int,
-    "float": _as_float,
-    "int | None": lambda raw: None if raw is None else _as_int(raw),
-    "float | None": lambda raw: None if raw is None else _as_float(raw),
-    "bool": _as_bool,
-    "date": lambda raw: parse_date(str(raw)),
-    "tuple[int, ...]": lambda raw: tuple(_as_int(v) for v in _as_list(raw)),
-    "tuple[float, ...]": lambda raw: tuple(_as_float(v) for v in _as_list(raw)),
-}
-
-
-def _field_values(specs: Sequence[Field], raw: dict, prefix: str = "") -> dict[str, Any]:
-    """The values `raw` gives for these fields, each coerced by its annotation.
-
-    Absent fields are left out, so the dataclass fills their defaults. A value
-    that does not coerce is a ConfigError naming the dotted key.
-    """
-    values = {}
-    for f in specs:
-        if f.name not in raw:
-            continue
-        value = raw[f.name]
-        coerce = _COERCE.get(f.type)
-        if coerce is not None:
-            try:
-                value = coerce(value)
-            except (TypeError, ValueError, OverflowError) as exc:
-                expected, got = exc.args if isinstance(exc, _Expected) else (f.type, value)
-                raise ConfigError(f"{prefix}{f.name}: expected {expected}, got {got!r}") from None
-        values[f.name] = value
-    return values
 
 
 def _echo(value: Any) -> Any:
@@ -311,24 +238,23 @@ def _echo(value: Any) -> Any:
 def synthetic_from_dict(raw: dict, prefix: str = "data.synthetic.") -> SyntheticSpec:
     """The spec of a `data.synthetic` object, or of `quantrl synth`'s flags.
 
-    Values are coerced as config values are; errors, SyntheticSpec's own
-    included, name a key as `prefix` plus the field name.
+    SyntheticSpec coerces and checks the values; its errors name a key as
+    `prefix` plus the field name.
     """
-    unknown = set(raw) - _SYNTHETIC_KEYS
+    unknown = set(raw) - {f.name for f in fields(SyntheticSpec)}
     if unknown:
         raise ConfigError(f"unknown synthetic keys: {', '.join(sorted(unknown))}")
     for key in ("kind", "length"):
         if key not in raw:
             raise ConfigError(f"{prefix}{key} is required")
-    values = _field_values(fields(SyntheticSpec), raw, prefix)
     try:
-        return SyntheticSpec(**values)
+        return SyntheticSpec(**raw)
     except ValueError as exc:
         raise ConfigError(f"{prefix}{exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Decode a raw config mapping; ExperimentConfig checks the values and fills defaults."""
+    """Decode a raw config mapping; ExperimentConfig coerces and checks the values and fills defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - set(CONFIG_KEYS)
@@ -346,12 +272,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(data["synthetic"], dict):
             raise ConfigError("data.synthetic: expected an object")
         source = synthetic_from_dict(data["synthetic"])
-    elif not (isinstance(source, str) and source):
-        raise ConfigError(f"data.csv: expected a file path, got {source!r}")
-    values = _field_values(_KEY_FIELDS, raw)
     try:
-        return ExperimentConfig(data=source, **values)
-    except ValueError as exc:  # the config's own checks
+        return ExperimentConfig(**{**raw, "data": source})
+    except ValueError as exc:  # the config's own coercion and checks
         raise ConfigError(str(exc)) from None
 
 
@@ -386,8 +309,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, Any]:
     """Full resolved config echo, JSON-serializable."""
-    data = {"csv": cfg.data} if isinstance(cfg.data, str) else {"synthetic": _echo(cfg.data)}
-    return {"data": data, **{f.name: _echo(getattr(cfg, f.name)) for f in _KEY_FIELDS}}
+    echo = {key: _echo(getattr(cfg, key)) for key in CONFIG_KEYS}
+    return echo | {"data": {"csv" if isinstance(cfg.data, str) else "synthetic": echo["data"]}}
 
 
 def load_bars(cfg: ExperimentConfig) -> BarSeries:

@@ -11,11 +11,11 @@ import math
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, Sequence, get_args
+from typing import Any, Callable, Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -45,6 +45,80 @@ def parse_date(text: str) -> date:
     if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"Invalid isoformat string: {text!r}")
     return date.fromisoformat(text)
+
+
+def _as_int(raw: Any) -> int:
+    """An int from an int, an integral float or a numeric string; never a bool."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError
+    return int(raw)
+
+
+class _Expected(ValueError):
+    """A coercion failure reported as `<field>: expected <args[0]>, got <args[1]!r>`."""
+
+
+def _as_float(raw: Any) -> float:
+    """A finite float from a number or a numeric string; never a bool."""
+    if isinstance(raw, bool):
+        raise ValueError
+    if not math.isfinite(value := float(raw)):
+        raise _Expected("a finite number", raw)
+    return value
+
+
+def _as_bool(raw: Any) -> bool:
+    """JSON true/false, 0/1, or null for the default false; no string."""
+    if raw is None or (type(raw) in (bool, int) and raw in (0, 1)):
+        return bool(raw)
+    raise ValueError
+
+
+def _as_list(raw: Any) -> list | tuple:
+    """A JSON list; a string would split into characters."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError
+    return raw
+
+
+def _as_optional_str(raw: Any) -> str | None:
+    """A string or null; str() would make any value a string."""
+    if raw is None or isinstance(raw, str):
+        return raw
+    raise _Expected("a string", raw)
+
+
+# How a raw JSON value becomes a field value, by field annotation; fields
+# whose annotation is not listed keep the raw value.
+_COERCE: dict[str, Callable[[Any], Any]] = {
+    "int": _as_int,
+    "float": _as_float,
+    "int | None": lambda raw: None if raw is None else _as_int(raw),
+    "float | None": lambda raw: None if raw is None else _as_float(raw),
+    "str | None": _as_optional_str,
+    "bool": _as_bool,
+    "date": lambda raw: parse_date(str(raw)),
+    "tuple[int, ...]": lambda raw: tuple(_as_int(v) for v in _as_list(raw)),
+    "tuple[float, ...]": lambda raw: tuple(_as_float(v) for v in _as_list(raw)),
+}
+
+
+def coerce_fields(obj: Any) -> None:
+    """Replace each field of dataclass `obj` with its value coerced by its annotation.
+
+    The config types call this first in `__post_init__`, so parsing, construction
+    and `replace` coerce alike. A failure is a ValueError `<field>: expected <type>,
+    got <value>`, with a tuple shown as the JSON list it would be parsed from.
+    """
+    for f in fields(obj):
+        if (coerce := _COERCE.get(f.type)) is None:
+            continue
+        try:
+            object.__setattr__(obj, f.name, coerce(value := getattr(obj, f.name)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            expected, got = exc.args if isinstance(exc, _Expected) else (f.type, value)
+            got = list(got) if isinstance(got, tuple) else got
+            raise ValueError(f"{f.name}: expected {expected}, got {got!r}") from None
 
 
 _FIELDS = ("open", "high", "low", "close", "adj_close", "volume")
@@ -447,10 +521,11 @@ class SyntheticSpec:
     volume: float = 1_000_000.0
 
     def __post_init__(self) -> None:
+        coerce_fields(self)
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"kind: unknown synthetic kind {self.kind!r}; "
                              f"valid kinds: {', '.join(SYNTHETIC_KINDS)}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

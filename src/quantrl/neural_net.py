@@ -34,11 +34,12 @@ class GradientSet:
 
 def init_mlp(layer_sizes, seed: int | np.random.Generator = 0) -> Mlp:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    sizes = tuple(int(s) for s in layer_sizes)
+    for s in layer_sizes:
+        if isinstance(s, bool) or not float(s).is_integer() or s < 1:
+            raise ValueError(f"layer sizes must be integers >= 1; got {s!r}")
+    sizes = tuple(map(int, layer_sizes))
     if len(sizes) < 2:
         raise ValueError("need at least an input and an output layer")
-    if any(s < 1 for s in sizes):
-        raise ValueError("all layer sizes must be >= 1")
     rng = np.random.default_rng(seed)
     net = _views(sizes, np.zeros(_parameter_count(sizes)))
     for w in net.weights:

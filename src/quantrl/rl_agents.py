@@ -18,7 +18,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from .market_data import BarSeries, sma
+from .market_data import BarSeries, coerce_fields, sma
 from .metrics import EquityCurve, Fill
 from .neural_net import (
     Mlp,
@@ -196,6 +196,7 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
+        coerce_fields(self)
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not 0.0 <= self.gamma < 1.0:
@@ -211,7 +212,7 @@ class TrainConfig:
         EpsilonSchedule(self.eps_start, self.eps_end)  # validates the epsilon range
         if not 0.0 < self.eps_decay_fraction <= 1.0:
             raise ValueError("eps_decay_fraction must be in (0, 1]")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -1,6 +1,10 @@
+import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -182,6 +186,20 @@ def fuzzed_raw_configs(draw):
     return raw
 
 
+def assert_replace_refuses(valid, bad, message):
+    """`replace` of the raw values of config edit `bad` raises the parsed `message`, unprefixed.
+
+    A `data.synthetic` edit is replaced into a valid SyntheticSpec; one whose
+    `data.synthetic` is no object is a JSON-shape refusal, which only parsing makes.
+    """
+    synthetic = bad.get("data", {}).get("synthetic", {})
+    if not isinstance(synthetic, dict):
+        return
+    with pytest.raises(ValueError) as replaced:
+        replace(SyntheticSpec("gbm", 9), **synthetic) if synthetic else replace(valid, **bad)
+    assert str(replaced.value) == message.removeprefix("data.synthetic."), bad
+
+
 class TestParseJson:
     @settings(max_examples=200, deadline=None)
     @given(json_values)
@@ -276,13 +294,14 @@ class TestConfig:
             config_from_dict(
                 {"data": {"synthetic": {"kind": "gbm"}}, "agent": "dqn"}
             )
-        # SyntheticSpec checks kind and seed itself: config_from_dict reports its
-        # message under the key's path, and replace gets the message unprefixed
+        # SyntheticSpec coerces and checks kind and seed itself: config_from_dict
+        # reports its message under the key's path, and replace gets the message
+        # unprefixed
         spec = SyntheticSpec("gbm", 10)
         for key, value, message in [
             ("kind", "steps", "kind: unknown synthetic kind 'steps'; valid kinds: sinusoid, trend, gbm"),
             ("seed", -1, "seed must be >= 0, got -1"),
-            ("seed", None, "seed must be >= 0, got None"),
+            ("seed", None, "seed: expected int, got None"),
         ]:
             with pytest.raises(ValueError) as replaced:
                 replace(spec, **{key: value})
@@ -290,9 +309,7 @@ class TestConfig:
             raw = {"data": {"synthetic": {"kind": "gbm", "length": 10, key: value}}, "agent": "dqn"}
             with pytest.raises(ConfigError) as parsed:
                 config_from_dict(raw)
-            # a null seed is refused earlier, as a value that does not coerce to an int
-            coerce = "data.synthetic.seed: expected int, got None"
-            assert str(parsed.value) == (coerce if value is None else f"data.synthetic.{message}")
+            assert str(parsed.value) == f"data.synthetic.{message}"
 
     def test_hyperparameters_validated(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="gamma"):
@@ -325,14 +342,12 @@ class TestConfig:
             path.write_text(json.dumps(raw))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err == f"error: [config] {expected.value}\n"
-        # a seed that is not an int is refused by TrainConfig itself; a parsed
-        # null never gets there, as a value that does not coerce to an int
-        for make in (lambda: TrainConfig(seed=None), lambda: replace(valid, seed=None)):
+        # a seed that is not an int does not coerce, whichever way the config is built
+        for make in (lambda: TrainConfig(seed=None), lambda: replace(valid, seed=None),
+                     lambda: config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "seed": None})):
             with pytest.raises(ValueError) as refused:
                 make()
-            assert str(refused.value) == "seed must be >= 0, got None"
-        with pytest.raises(ConfigError, match=r"^seed: expected int, got None$"):
-            config_from_dict({"data": {"csv": "x.csv"}, "agent": "dqn", "seed": None})
+            assert str(refused.value) == "seed: expected int, got None"
 
     @pytest.mark.parametrize("key, value, message", [
         ("data", None, "missing required key 'data'"),
@@ -423,11 +438,15 @@ class TestConfig:
             ({"symbol": 0}, "symbol: expected a string, got 0"),
             ({"symbol": False}, "symbol: expected a string, got False"),
             ({"symbol": []}, "symbol: expected a string, got []"),
+            ({"initial_shares": 2.5}, "initial_shares: expected int, got 2.5"),
+            ({"out_dir": 5}, "out_dir: expected a string, got 5"),
         ]
+        valid = config_from_dict(base)
         for bad, message in cases:
             with pytest.raises(ConfigError) as info:
                 config_from_dict({**base, **bad})
             assert str(info.value) == message
+            assert_replace_refuses(valid, bad, message)
 
     def test_non_finite_floats_rejected(self, tmp_path, capsys):
         # NaN passed every range check and reached the report ("sharpe": NaN);
@@ -436,6 +455,8 @@ class TestConfig:
         cases = [
             ({"annualization": float("nan")}, "annualization: expected a finite number, got nan"),
             ({"risk_free_rate": float("nan")}, "risk_free_rate: expected a finite number, got nan"),
+            ({"risk_free_rate": float("inf")}, "risk_free_rate: expected a finite number, got inf"),
+            ({"annualization": float("inf")}, "annualization: expected a finite number, got inf"),
             ({"initial_cash": float("inf")}, "initial_cash: expected a finite number, got inf"),
             ({"cost_rate": float("-inf")}, "cost_rate: expected a finite number, got -inf"),
             ({"alpha": "nan"}, "alpha: expected a finite number, got 'nan'"),
@@ -447,15 +468,48 @@ class TestConfig:
              "data.synthetic.volume: expected a finite number, got inf"),
         ]
         path = tmp_path / "exp.json"
+        valid = config_from_dict(base)
         for bad, message in cases:
             with pytest.raises(ConfigError) as info:
                 config_from_dict({**base, **bad})
             assert str(info.value) == message
+            assert_replace_refuses(valid, bad, message)
             # Python's json reads and writes NaN and Infinity literals
             path.write_text(json.dumps({**base, **bad}))
             assert main(["run", "--config", str(path)]) == 1
             assert capsys.readouterr().err == f"error: [config] {message}\n"
         assert config_from_dict({**base, "risk_free_rate": "1e-300"}).risk_free_rate == 1e-300
+
+    @pytest.mark.parametrize("agent", ["dqn", "qtable"])
+    def test_csv_path_is_a_non_empty_string(self, agent):
+        # replace used to accept these and fail at [ingest]: '' read the directory '.'
+        valid = config_from_dict({"data": {"csv": "x.csv"}, "agent": agent})
+        for path in ("", 5, None, ["x.csv"]):
+            message = f"data.csv: expected a file path, got {path!r}"
+            with pytest.raises(ConfigError) as parsed:
+                config_from_dict({"data": {"csv": path}, "agent": agent})
+            assert str(parsed.value) == message
+            with pytest.raises(ValueError) as replaced:
+                replace(valid, data=path)
+            assert str(replaced.value) == message
+        spec = sinusoid_config().data
+        assert replace(valid, data=spec).data == spec
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parsing_and_replace_agree(self, data):
+        # the same raw value under one key: both refuse with one text, or both build one config
+        valid = sinusoid_config(agent=data.draw(st.sampled_from(AGENT_KINDS)))
+        raw = config_to_dict(valid)
+        key = data.draw(st.sampled_from([key for key in CONFIG_KEYS if key != "data"]))
+        value = data.draw(json_values | st.sampled_from([raw[key], str(raw[key]), None]))
+        outcomes = []
+        for build in (lambda: config_from_dict({**raw, key: value}), lambda: replace(valid, **{key: value})):
+            try:
+                outcomes.append(build())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_out_dir_is_a_string_or_null(self, tmp_path, capsys, monkeypatch):
         base = {"data": {"csv": "x.csv"}, "agent": "dqn"}
@@ -787,6 +841,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"built with window {cfg.window}, not {cfg.window + 1}$"):
             run_prepared(replace(cfg, window=cfg.window + 1), prepared)
         assert [key for key, _ in prepared.built_with] == [*TRAINING_KEYS, "test_start", "test_end"]
+
+    def test_readme_library_use_runs(self, tmp_path):
+        # the first python block after "## Library use", run verbatim in a fresh
+        # interpreter; an empty extraction fails, so a moved heading cannot pass unrun
+        root = Path(__file__).resolve().parents[1]
+        lines = iter((root / "README.md").read_text(encoding="utf-8").splitlines())
+        heading = next((line for line in lines if line.startswith("## Library use")), None)
+        fence = next((line for line in lines if line == "```python"), None)
+        block = list(itertools.takewhile(lambda line: line != "```", lines))
+        assert heading and fence and block, "README.md has no python block after '## Library use'"
+        script = tmp_path / "library_use.py"
+        script.write_text("\n".join(block) + "\n", encoding="utf-8")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), path]))}
+        done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
 
 class TestTrainAgent:

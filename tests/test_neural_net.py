@@ -81,6 +81,11 @@ class TestInit:
     def test_invalid_size(self):
         with pytest.raises(ValueError, match=">= 1"):
             init_mlp((4, 0, 3))
+        # int() would build (10, 32, 3) and (10, 1, 3) from these
+        for size in (32.5, True):
+            with pytest.raises(ValueError) as info:
+                init_mlp((10, size, 3))
+            assert str(info.value) == f"layer sizes must be integers >= 1; got {size!r}"
 
     @settings(max_examples=100, deadline=None)
     @given(
